@@ -75,8 +75,9 @@ fuzz:
 	$(GO) test ./internal/hazard -run '^$$' -fuzz FuzzParseTrace -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/fleet -run '^$$' -fuzz FuzzReadExport -fuzztime $(FUZZTIME)
 
-# One full iteration of every engine benchmark (the sweep pair is the
-# headline: serial vs memoized-parallel advisory sweep).
+# One full iteration of every engine benchmark: cold vs warm advisory
+# batches, characterization and exploration, each serial vs engine. The
+# serial-vs-engine sweep lives in perfgate (sweep/serial, sweep/engine).
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/engine
 

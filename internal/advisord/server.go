@@ -124,16 +124,6 @@ type Server struct {
 	// execution count already on disk.
 	persistMu sync.Mutex
 	lastSaved uint64
-
-	// adviceMu guards adviceMemo, the per-server memo of successful
-	// non-degraded recommendations. The key (characterization cache key +
-	// workload name + current model) is a complete identity here — one
-	// server runs one Params and one Scale, so a workload name denotes
-	// exactly one workload — which makes re-profiling a repeated question
-	// pure waste. Degraded answers are never memoized: they depend on
-	// transient failure state, not on the question.
-	adviceMu   sync.Mutex
-	adviceMemo map[string]framework.Recommendation
 }
 
 // New builds a server answering with the given engine under the given
@@ -153,8 +143,6 @@ func New(eng *engine.Engine, opt Options) *Server {
 		breaker: br,
 		admit:   newAdmission(opt.MaxConcurrent, opt.MaxQueue),
 		fleet:   opt.Fleet,
-
-		adviceMemo: make(map[string]framework.Recommendation),
 	}
 }
 
@@ -420,9 +408,11 @@ func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
 }
 
 // adviseOne answers one advisory request through the resilience layer:
-// breaker-guarded characterization, then profile-and-decide; any failure on
-// that path falls back to degraded heuristic advice so the caller always
-// gets an answer or a typed error.
+// breaker-guarded characterization, then the engine's memoized
+// profile-and-decide; any failure on that path falls back to degraded
+// heuristic advice so the caller always gets an answer or a typed error.
+// Degraded answers are never memoized: the engine only caches advice it
+// computed.
 func (s *Server) adviseOne(ctx context.Context, req engine.Request) AdviseResult {
 	done, ok := s.breaker.Allow()
 	if !ok {
@@ -438,16 +428,6 @@ func (s *Server) adviseOne(ctx context.Context, req engine.Request) AdviseResult
 	if err != nil {
 		return s.degraded(ctx, req, fmt.Sprintf("characterization failed: %v", err))
 	}
-	memoKey := ""
-	if key, kerr := engine.CacheKey(req.Config, req.Params); kerr == nil {
-		memoKey = key + "|" + req.Workload.Name + "|" + req.Current
-		s.adviceMu.Lock()
-		rec, ok := s.adviceMemo[memoKey]
-		s.adviceMu.Unlock()
-		if ok {
-			return AdviseResult{Recommendation: &rec, Zone: rec.Zone.String()}
-		}
-	}
 	var rec framework.Recommendation
 	err = guard(func() error {
 		var err error
@@ -457,22 +437,8 @@ func (s *Server) adviseOne(ctx context.Context, req engine.Request) AdviseResult
 	if err != nil {
 		return s.degraded(ctx, req, fmt.Sprintf("advice failed: %v", err))
 	}
-	if memoKey != "" {
-		s.adviceMu.Lock()
-		if len(s.adviceMemo) >= adviceMemoCap {
-			// The population is bounded by devices x apps x models in any
-			// real deployment; hitting the cap means pathological inputs,
-			// and a reset is cheaper than an eviction policy.
-			s.adviceMemo = make(map[string]framework.Recommendation)
-		}
-		s.adviceMemo[memoKey] = rec
-		s.adviceMu.Unlock()
-	}
 	return AdviseResult{Recommendation: &rec, Zone: rec.Zone.String()}
 }
-
-// adviceMemoCap bounds the advice memo; see adviseOne.
-const adviceMemoCap = 4096
 
 // degraded answers from the threshold-only heuristic, marking the result so
 // callers know it carries no measured speedup, and annotating the request's

@@ -362,11 +362,8 @@ func TestAdviseMemoServesRepeatedQuestions(t *testing.T) {
 	if first.Results[0].Error != "" {
 		t.Fatalf("first advise failed: %s", first.Results[0].Error)
 	}
-	srv.adviceMu.Lock()
-	memoSize := len(srv.adviceMemo)
-	srv.adviceMu.Unlock()
-	if memoSize != 1 {
-		t.Fatalf("advice memo holds %d entries after one advise, want 1", memoSize)
+	if st := srv.eng.Stats().Advice; st.Entries != 1 || st.Hits != 0 {
+		t.Fatalf("advice memo after one advise = %+v, want 1 entry and no hits", st)
 	}
 	second := postAdvise(t, ts, req)
 	a, _ := json.Marshal(first.Results[0])
@@ -374,15 +371,22 @@ func TestAdviseMemoServesRepeatedQuestions(t *testing.T) {
 	if !bytes.Equal(a, b) {
 		t.Fatalf("memoized answer differs:\n first %s\nsecond %s", a, b)
 	}
+	// The hit is visible where operators look: /statusz engine.advice and
+	// the igpucomm_engine_advice_cache_* family.
+	var status statuszResponse
+	getJSON(t, ts.URL+"/statusz", &status)
+	if st := status.Engine.Advice; st.Hits != 1 || st.Misses != 1 || st.Executions != 1 || st.Entries != 1 {
+		t.Fatalf("statusz engine.advice after a repeated advise = %+v, want 1 hit / 1 miss / 1 execution / 1 entry", st)
+	}
+	if got := scrapeMetrics(t, ts); !strings.Contains(got, "igpucomm_engine_advice_cache_hits_total 1") {
+		t.Fatalf("scrape lacks one advice cache hit:\n%s", got)
+	}
 	// A different current model is a different question and must get its
 	// own memo entry, not the cached answer for "sc".
 	postAdvise(t, ts, AdviseBody{Requests: []AdviseRequest{
 		{Device: devices.TX2Name, App: "shwfs", Current: "zc"},
 	}})
-	srv.adviceMu.Lock()
-	memoSize = len(srv.adviceMemo)
-	srv.adviceMu.Unlock()
-	if memoSize != 2 {
-		t.Fatalf("advice memo holds %d entries, want 2 (distinct current model is a distinct question)", memoSize)
+	if n := srv.eng.Stats().Advice.Entries; n != 2 {
+		t.Fatalf("advice memo holds %d entries, want 2 (distinct current model is a distinct question)", n)
 	}
 }

@@ -63,9 +63,8 @@
 //   - mdlink: relative links (including #anchors) in the markdown
 //     documentation set (MarkdownFiles) must resolve.
 //
-// The gate runs as `go run ./cmd/igpulint ./...` (make lint) and in CI;
-// `hazardcheck -lint ./...` is a thin alias over the same analyzer set
-// without the baseline comparison. The analyzers are themselves tested
+// The gate runs as `go run ./cmd/igpulint ./...` (make lint) and in CI's
+// lint job, with the baseline comparison. The analyzers are themselves tested
 // against a golden fixture corpus under testdata/corpus (corpus_test.go).
 // Lint below is the legacy syntactic entry point, kept for callers that
 // need a parse-only pass without type information.

@@ -78,9 +78,10 @@ func Workload(p WorkloadParams) (comm.Workload, error) {
 	px := p.FrameW * p.FrameH
 
 	return comm.Workload{
-		Name: "lanedet",
-		In:   []comm.BufferSpec{{Name: "frame", Size: frameBytes}},
-		Out:  []comm.BufferSpec{{Name: "acc", Size: accBytes}},
+		Name:        "lanedet",
+		Fingerprint: comm.Fingerprint("lanedet", p),
+		In:          []comm.BufferSpec{{Name: "frame", Size: frameBytes}},
+		Out:         []comm.BufferSpec{{Name: "acc", Size: accBytes}},
 		Scratch: []comm.BufferSpec{
 			{Name: "edges", Size: frameBytes},
 		},

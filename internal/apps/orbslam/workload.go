@@ -142,9 +142,10 @@ func Workload(p WorkloadParams) (comm.Workload, error) {
 	featBytes := int64(maxFeatures) * featureStride
 
 	return comm.Workload{
-		Name: "orbslam",
-		In:   []comm.BufferSpec{{Name: "config", Size: 4096}},
-		Out:  []comm.BufferSpec{{Name: "features", Size: featBytes}},
+		Name:        "orbslam",
+		Fingerprint: comm.Fingerprint("orbslam", p),
+		In:          []comm.BufferSpec{{Name: "config", Size: 4096}},
+		Out:         []comm.BufferSpec{{Name: "features", Size: featBytes}},
 		Scratch: []comm.BufferSpec{
 			{Name: "pyramid", Size: pyramidBytes},
 			{Name: "scores", Size: int64(p.FrameW) * int64(p.FrameH) * 4},

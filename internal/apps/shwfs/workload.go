@@ -91,9 +91,10 @@ func Workload(p WorkloadParams) (comm.Workload, error) {
 	pxPerLaunch := p.FrameW() * p.FrameH() / p.Launches
 
 	return comm.Workload{
-		Name: "shwfs",
-		In:   []comm.BufferSpec{{Name: "frame", Size: frameBytes}},
-		Out:  []comm.BufferSpec{{Name: "centroids", Size: centBytes}},
+		Name:        "shwfs",
+		Fingerprint: comm.Fingerprint("shwfs", p),
+		In:          []comm.BufferSpec{{Name: "frame", Size: frameBytes}},
+		Out:         []comm.BufferSpec{{Name: "centroids", Size: centBytes}},
 		CPUTask: func(c *cpu.CPU, lay comm.Layout) {
 			// Sampled background/threshold statistics over the frame: one
 			// word per CPUSampleStride bytes, CPUPasses times. The first

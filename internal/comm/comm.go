@@ -16,6 +16,8 @@
 package comm
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 
 	"igpucomm/internal/cpu"
@@ -104,6 +106,26 @@ type Workload struct {
 	// so caches reach steady state (how the paper's micro-benchmarks
 	// measure peak behaviour).
 	Warmup int
+
+	// Fingerprint is the workload's content identity: two workloads with
+	// the same non-empty Fingerprint behave identically under every model,
+	// so memo caches (the engine's advice memo) may key on it instead of
+	// on Name. The case-study constructors set it with Fingerprint() from
+	// the app name and their parameters — the code is fixed within a
+	// binary, so those parameters determine the workload. Empty means no
+	// identity: a hand-built workload is never memoized. Code that edits a
+	// constructed workload must clear it.
+	Fingerprint string
+}
+
+// Fingerprint derives a Workload.Fingerprint from the constructing
+// application's name and the parameter value that fully determines its
+// workload. params must be plain data (no pointers, funcs or channels),
+// since its Go-syntax rendering is what gets hashed.
+func Fingerprint(app string, params any) string {
+	h := sha256.New()
+	fmt.Fprintf(h, "%#v", params)
+	return app + ":" + hex.EncodeToString(h.Sum(nil))
 }
 
 // Validate reports structural problems with the workload.

@@ -4,22 +4,18 @@ import (
 	"math"
 	"testing"
 
+	"igpucomm/internal/apps/catalog"
 	"igpucomm/internal/comm"
 	"igpucomm/internal/devices"
-	"igpucomm/internal/workloadgen"
 )
 
 // streamingWorkload is copy-dominated: the crossover stories below hinge on
-// transfer costs, exactly what the axes move.
+// transfer costs, exactly what the axes move. The quick-scale SH-WFS frame
+// upload dwarfs its kernel and its tiny centroid download, so SC's total
+// tracks the copy engine and ZC's tracks the coherence path.
 func streamingWorkload(t *testing.T) comm.Workload {
 	t.Helper()
-	w, err := workloadgen.Build(workloadgen.Spec{
-		Name:     "dse-streaming",
-		Elements: 1 << 16,
-		CPU:      workloadgen.CPUSpec{Shape: workloadgen.StreamPass, Iterations: 1024, ComputePerIteration: 2},
-		Kernel:   workloadgen.KernelSpec{Shape: workloadgen.Streaming, ComputePerThread: 8},
-		Warmup:   1,
-	})
+	w, err := catalog.ByName("shwfs", catalog.Quick)
 	if err != nil {
 		t.Fatal(err)
 	}

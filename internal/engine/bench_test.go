@@ -12,14 +12,10 @@ import (
 	"igpucomm/internal/soc"
 )
 
-// The sweep benchmarks answer the PR's headline question: how much faster is
-// the engine than the serial seed path on the full 3-device x 3-app x
-// 3-current-model advisory sweep (27 requests)? The serial path characterizes
-// per request (27 simulations); the engine's memo cache collapses that to one
-// characterization per device (3), sharing each across the 9 requests that
-// need it. Run with -benchtime=1x: one iteration is the whole sweep.
-
-// sweepRequests builds the 27-point sweep.
+// sweepRequests builds the 27-point advisory sweep: 3 devices x 3 apps x 3
+// current models, quick-scale workloads. The serial-vs-engine sweep
+// comparison lives in perfgate (sweep/serial, sweep/engine); the benchmarks
+// here isolate single mechanisms. Run with -benchtime=1x.
 func sweepRequests(b *testing.B, p microbench.Params) []Request {
 	b.Helper()
 	var reqs []Request
@@ -37,41 +33,10 @@ func sweepRequests(b *testing.B, p microbench.Params) []Request {
 	return reqs
 }
 
-func BenchmarkSweepSerial(b *testing.B) {
-	p := microbench.TestParams()
-	reqs := sweepRequests(b, p)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, req := range reqs {
-			char, err := framework.Characterize(context.Background(), soc.New(req.Config), req.Params)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := framework.AdviseWorkload(context.Background(), char, soc.New(req.Config), req.Workload, req.Current); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
-func BenchmarkSweepEngine(b *testing.B) {
-	p := microbench.TestParams()
-	reqs := sweepRequests(b, p)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e := New(Options{}) // cold cache every iteration
-		for _, res := range e.AdviseBatch(context.Background(), reqs) {
-			if res.Err != nil {
-				b.Fatal(res.Err)
-			}
-		}
-	}
-}
-
 // The cold/warm pair isolates what the cache is worth under the paper's real
 // micro-benchmark scale (DefaultParams — the characterization that dominates
 // a cold request). Cold rebuilds the engine every iteration; warm reuses one
-// whose cache already holds all three devices, so only profiling remains.
+// whose memos already hold all three devices and all 27 answers.
 
 func BenchmarkAdviseBatchCold(b *testing.B) {
 	p := microbench.DefaultParams()

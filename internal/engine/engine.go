@@ -1,10 +1,11 @@
 // Package engine is the repo's parallel execution and advisory engine: a
 // bounded worker pool that fans device characterization and model
-// exploration out across cloned platforms, an LRU+TTL memo cache (with
-// singleflight deduplication) for the expensive application-independent
-// characterizations, and a batch advisory API on top — the machinery that
-// turns the paper's one-shot tuning flow (Fig 2) into something that can
-// serve sustained advisory traffic.
+// exploration out across cloned platforms, LRU+TTL memo caches (with
+// singleflight deduplication) for the two pure stages of the paper's Fig 2
+// flow — the application-independent characterizations and the per-workload
+// advice — and a batch advisory API on top: the machinery that turns the
+// paper's one-shot tuning flow into something that can serve sustained
+// advisory traffic.
 //
 // Correctness contract: every simulation task holds a private platform —
 // taken from a per-config pool (soc.ResetState restores fresh-equivalent
@@ -54,10 +55,10 @@ type Options struct {
 	Workers int
 	// CacheEntries is the LRU capacity of each memo cache (<=0: 64).
 	CacheEntries int
-	// TTL expires cached characterizations this long after insertion
-	// (0: never). Characterizations are pure functions of (config,
-	// params), so the TTL exists for operational hygiene — bounding how
-	// long a service trusts any one simulation — not for correctness.
+	// TTL expires cached values this long after insertion (0: never).
+	// Characterizations and advice are pure functions of their keys, so
+	// the TTL exists for operational hygiene — bounding how long a
+	// service trusts any one simulation — not for correctness.
 	TTL time.Duration
 	// Clock is the time source for TTL bookkeeping (nil: simnet.Real()).
 	// The DST harness injects a virtual clock here.
@@ -78,6 +79,7 @@ type Engine struct {
 	pool    *socPool
 	chars   *memo[framework.Characterization]
 	mb1s    *memo[microbench.MB1Result]
+	advice  *memo[framework.Recommendation]
 
 	requests     atomic.Uint64
 	batches      atomic.Uint64
@@ -93,8 +95,8 @@ func New(o Options) *Engine {
 		o.Clock = simnet.Real()
 	}
 	chars := newMemo[framework.Characterization](o.CacheEntries, o.TTL, o.Clock.Now)
-	// Only the characterization cache is sharded across a fleet; MB1
-	// memoization stays process-local.
+	// Only the characterization cache is sharded across a fleet; MB1 and
+	// advice memoization stay process-local.
 	chars.role = o.KeyRole
 	return &Engine{
 		workers: o.Workers,
@@ -102,6 +104,7 @@ func New(o Options) *Engine {
 		pool:    newSocPool(o.Workers),
 		chars:   chars,
 		mb1s:    newMemo[microbench.MB1Result](o.CacheEntries, o.TTL, o.Clock.Now),
+		advice:  newMemo[framework.Recommendation](o.CacheEntries, o.TTL, o.Clock.Now),
 	}
 }
 
@@ -119,6 +122,9 @@ type Stats struct {
 	Batches           uint64    `json:"batches"`
 	Characterizations MemoStats `json:"characterizations"`
 	MB1               MemoStats `json:"mb1"`
+	// Advice counts the advice memo (see Advise): hits are repeated
+	// questions answered without profiling.
+	Advice MemoStats `json:"advice"`
 	// CacheCorruptEntries counts persisted cache entries quarantined at
 	// warm start (checksum mismatch or undecodable payload).
 	CacheCorruptEntries uint64 `json:"cache_corrupt_entries"`
@@ -136,6 +142,7 @@ func (e *Engine) Stats() Stats {
 		Batches:                 e.batches.Load(),
 		Characterizations:       e.chars.snapshot(),
 		MB1:                     e.mb1s.snapshot(),
+		Advice:                  e.advice.snapshot(),
 		CacheCorruptEntries:     e.cacheCorrupt.Load(),
 		CharacterizationsByRole: e.chars.snapshotRoles(),
 	}
@@ -355,7 +362,15 @@ type Result struct {
 }
 
 // Advise answers one request: characterization from the cache (or one shared
-// cold run), profiling and the Fig-2 decision flow on a private clone.
+// cold run), then the advice itself from the advice memo or — on a miss —
+// profiling and the Fig-2 decision flow on a private clone.
+//
+// The advice memo keys on the characterization cache key, the workload's
+// Fingerprint and the current model. A workload without a Fingerprint has
+// no content identity and is profiled on every call. The lookup happens
+// before the request takes a worker slot, so a hit never queues behind
+// simulations; concurrent identical misses share one execution, and errors
+// are never cached.
 func (e *Engine) Advise(ctx context.Context, req Request) (framework.Recommendation, error) {
 	e.requests.Add(1)
 	ctx, span := telemetry.Start(ctx, "engine.advise",
@@ -371,8 +386,10 @@ func (e *Engine) Advise(ctx context.Context, req Request) (framework.Recommendat
 }
 
 // AdviseWith answers a request against a characterization the caller already
-// holds: profiling and the Fig-2 decision flow on a private clone, under the
-// engine's worker bound. advisord's resilience layer uses it to separate
+// holds: the advice memo, or profiling and the Fig-2 decision flow on a
+// private clone under the engine's worker bound. char must be the
+// characterization of (req.Config, req.Params) — the advice memo is keyed
+// by those, as in Advise. advisord's resilience layer uses it to separate
 // characterization failures (which feed the circuit breaker) from profiling
 // failures (which fall back to degraded-mode advice).
 func (e *Engine) AdviseWith(ctx context.Context, char framework.Characterization, req Request) (framework.Recommendation, error) {
@@ -385,17 +402,28 @@ func (e *Engine) AdviseWith(ctx context.Context, char framework.Characterization
 	return e.adviseWith(ctx, char, req)
 }
 
-// adviseWith is the shared profile-and-decide tail of Advise/AdviseWith.
+// adviseWith is the shared memo-profile-and-decide tail of
+// Advise/AdviseWith.
 func (e *Engine) adviseWith(ctx context.Context, char framework.Characterization, req Request) (framework.Recommendation, error) {
-	var rec framework.Recommendation
-	err := fanOut(ctx, e.sem, 1, func(int) error {
-		s, pk := e.pool.get(req.Config)
-		var err error
-		rec, err = framework.AdviseWorkload(ctx, char, s, req.Workload, req.Current)
-		e.pool.put(pk, s, err)
-		return err
-	})
-	return rec, err
+	run := func() (framework.Recommendation, error) {
+		var rec framework.Recommendation
+		err := fanOut(ctx, e.sem, 1, func(int) error {
+			s, pk := e.pool.get(req.Config)
+			var err error
+			rec, err = framework.AdviseWorkload(ctx, char, s, req.Workload, req.Current)
+			e.pool.put(pk, s, err)
+			return err
+		})
+		return rec, err
+	}
+	if req.Workload.Fingerprint == "" {
+		return run()
+	}
+	key, err := CacheKey(req.Config, req.Params)
+	if err != nil {
+		return framework.Recommendation{}, err
+	}
+	return e.advice.do(ctx, key+"|"+req.Workload.Fingerprint+"|"+req.Current, run)
 }
 
 // NoteBatch counts one advisory batch answered outside AdviseBatch —

@@ -12,8 +12,9 @@ import (
 
 // TestAdviseBatchStress hammers one engine from many goroutines with
 // overlapping (device, params) keys and checks the singleflight contract:
-// every unique key is characterized exactly once, every request still gets a
-// full recommendation, and the cache counters are arithmetically consistent.
+// every unique key is characterized (and every unique question answered)
+// exactly once, every request still gets a full recommendation, and both
+// caches' counters are arithmetically consistent.
 // Run with -race; the engine's only defense is real synchronization.
 func TestAdviseBatchStress(t *testing.T) {
 	if testing.Short() {
@@ -67,12 +68,6 @@ func TestAdviseBatchStress(t *testing.T) {
 	}
 
 	st := e.Stats()
-	// Exactly one execution per unique (config, params) key, no matter how
-	// many goroutines raced for it.
-	if st.Characterizations.Executions != uint64(len(names)) {
-		t.Errorf("executions = %d, want %d (one per device)",
-			st.Characterizations.Executions, len(names))
-	}
 	total := uint64(goroutines * len(reqs))
 	if st.Requests != total {
 		t.Errorf("requests = %d, want %d", st.Requests, total)
@@ -80,20 +75,32 @@ func TestAdviseBatchStress(t *testing.T) {
 	if st.Batches != goroutines {
 		t.Errorf("batches = %d, want %d", st.Batches, goroutines)
 	}
-	// Every request either hit the cache or missed; every miss either
-	// executed or piggybacked on an in-flight execution.
-	c := st.Characterizations
-	if c.Hits+c.Misses != total {
-		t.Errorf("hits(%d) + misses(%d) != requests(%d)", c.Hits, c.Misses, total)
-	}
-	if c.Misses != c.Executions+c.Shared {
-		t.Errorf("misses(%d) != executions(%d) + shared(%d)", c.Misses, c.Executions, c.Shared)
-	}
-	if c.InFlight != 0 {
-		t.Errorf("in_flight = %d after quiescence, want 0", c.InFlight)
-	}
-	if c.Entries != len(names) {
-		t.Errorf("entries = %d, want %d", c.Entries, len(names))
+	// Exactly one execution per unique key, no matter how many goroutines
+	// raced for it: one characterization per device, one answer per
+	// device x app question.
+	for _, m := range []struct {
+		name   string
+		st     MemoStats
+		unique int
+	}{
+		{"characterizations", st.Characterizations, len(names)},
+		{"advice", st.Advice, len(reqs)},
+	} {
+		c := m.st
+		if c.Executions != uint64(m.unique) || c.Entries != m.unique {
+			t.Errorf("%s: executions = %d, entries = %d, want %d each", m.name, c.Executions, c.Entries, m.unique)
+		}
+		// Every request either hit the cache or missed; every miss either
+		// executed or piggybacked on an in-flight execution.
+		if c.Hits+c.Misses != total {
+			t.Errorf("%s: hits(%d) + misses(%d) != requests(%d)", m.name, c.Hits, c.Misses, total)
+		}
+		if c.Misses != c.Executions+c.Shared {
+			t.Errorf("%s: misses(%d) != executions(%d) + shared(%d)", m.name, c.Misses, c.Executions, c.Shared)
+		}
+		if c.InFlight != 0 {
+			t.Errorf("%s: in_flight = %d after quiescence, want 0", m.name, c.InFlight)
+		}
 	}
 }
 

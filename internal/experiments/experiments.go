@@ -7,32 +7,37 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"sync"
 
 	"igpucomm/internal/apps/orbslam"
 	"igpucomm/internal/apps/shwfs"
 	"igpucomm/internal/comm"
 	"igpucomm/internal/devices"
+	"igpucomm/internal/engine"
 	"igpucomm/internal/framework"
 	"igpucomm/internal/microbench"
 	"igpucomm/internal/soc"
 )
 
-// Context caches the per-device characterizations (they are expensive and
-// application-independent) across the experiments of one session.
+// Context carries one session's experiments: the characterization scale,
+// an engine that memoizes the per-device characterizations (they are
+// expensive and application-independent), and the platform instances the
+// experiments run their workloads on.
 type Context struct {
 	Params microbench.Params
 
-	socs  map[string]*soc.SoC
-	chars map[string]framework.Characterization
+	eng  *engine.Engine
+	socs map[string]*soc.SoC
 }
 
 // NewContext builds a context at the given characterization scale.
 func NewContext(p microbench.Params) *Context {
 	return &Context{
 		Params: p,
+		eng:    engine.New(engine.Options{}),
 		socs:   make(map[string]*soc.SoC),
-		chars:  make(map[string]framework.Characterization),
 	}
 }
 
@@ -50,21 +55,13 @@ func (c *Context) SoC(name string) (*soc.SoC, error) {
 }
 
 // Char returns (running the micro-benchmarks on first use) the named
-// platform's characterization.
+// platform's characterization, memoized by the context's engine.
 func (c *Context) Char(ctx context.Context, name string) (framework.Characterization, error) {
-	if ch, ok := c.chars[name]; ok {
-		return ch, nil
-	}
-	s, err := c.SoC(name)
+	cfg, err := devices.ByName(name)
 	if err != nil {
 		return framework.Characterization{}, err
 	}
-	ch, err := framework.Characterize(ctx, s, c.Params)
-	if err != nil {
-		return framework.Characterization{}, err
-	}
-	c.chars[name] = ch
-	return ch, nil
+	return c.eng.Characterize(ctx, cfg, c.Params)
 }
 
 // runModels executes a workload under the three models on one platform.
@@ -110,42 +107,23 @@ func speedupPct(base, new float64) float64 {
 // ablation benchmarks.
 func SHWFSWorkloadForAblation() (comm.Workload, error) { return shwfsWorkload() }
 
-// Prewarm characterizes the named platforms concurrently (each on its own
-// SoC instance — the simulators are independent) and caches the results.
-// Characterization dominates the experiments' wall time, so this is the
-// 3-devices-in-the-time-of-1 fast path used by the benchmark harness.
+// Prewarm characterizes the named platforms concurrently and leaves the
+// results in the engine's memo. Characterization dominates the experiments'
+// wall time, so this is the 3-devices-in-the-time-of-1 fast path used by
+// the benchmark harness; the engine's worker bound caps the simulations
+// running at once.
 func (c *Context) Prewarm(ctx context.Context, names ...string) error {
-	type result struct {
-		name string
-		s    *soc.SoC
-		char framework.Characterization
-		err  error
-	}
-	pending := make([]string, 0, len(names))
-	for _, n := range names {
-		if _, ok := c.chars[n]; !ok {
-			pending = append(pending, n)
-		}
-	}
-	results := make(chan result, len(pending))
-	for _, name := range pending {
-		go func(name string) {
-			s, err := devices.NewSoC(name)
-			if err != nil {
-				results <- result{name: name, err: err}
-				return
+	errs := make([]error, len(names))
+	var wg sync.WaitGroup
+	for i, name := range names {
+		wg.Add(1)
+		go func(i int, name string) {
+			defer wg.Done()
+			if _, err := c.Char(ctx, name); err != nil {
+				errs[i] = fmt.Errorf("experiments: prewarm %s: %w", name, err)
 			}
-			char, err := framework.Characterize(ctx, s, c.Params)
-			results <- result{name: name, s: s, char: char, err: err}
-		}(name)
+		}(i, name)
 	}
-	for range pending {
-		r := <-results
-		if r.err != nil {
-			return fmt.Errorf("experiments: prewarm %s: %w", r.name, r.err)
-		}
-		c.socs[r.name] = r.s
-		c.chars[r.name] = r.char
-	}
-	return nil
+	wg.Wait()
+	return errors.Join(errs...)
 }
