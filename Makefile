@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race fmt vet lint lint-sarif lint-baseline lint-docs docs-links hazardcheck cover fuzz bench perfgate perf-smoke baseline trace chaos fleet dst ci
+.PHONY: all build test race fmt vet lint lint-sarif lint-baseline lint-docs docs-links hazardcheck cover fuzz bench perfgate perf-smoke baseline layerbench trace chaos fleet dst ci
 
 all: build
 
@@ -96,6 +96,16 @@ perf-smoke:
 # Refresh the committed quick-scale baseline (run on a quiet machine).
 baseline:
 	$(GO) run ./cmd/perfgate -update-baseline
+
+# The end-to-end benchmark declared by BENCHMARK.json: one seeded workload
+# (bringup, sweep or serve) for SECONDS seconds, output checks included. It
+# builds into .bench_build; see docs/BENCHMARKS.md for when to use it
+# instead of perfgate.
+W ?= sweep
+SEED ?= 1
+SECONDS ?= 30
+layerbench:
+	bash layerbench/run.sh --workload $(W) --seed $(SEED) --seconds $(SECONDS)
 
 # Observability smoke: the quick-scale 45-combo sweep (3 devices x 3 apps x
 # 5 models) recorded as a Chrome trace_event file — open trace.json in

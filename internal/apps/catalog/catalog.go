@@ -28,11 +28,11 @@ const (
 	Quick
 	// Micro is the smallest configuration that still exercises every
 	// structural element (all buffers, at least one launch per kernel,
-	// both reduce and per-pixel phases). Its absolute numbers are
-	// meaningless; it exists for harnesses that need thousands of advisory
-	// calls per second — the deterministic simulation tests sweep hundreds
-	// of seeded fleet scenarios and pay the workload simulation on every
-	// step.
+	// both reduce and per-pixel phases) at each app's validated minimum
+	// frame size. Its absolute numbers are meaningless; it exists for
+	// harnesses that need thousands of advisory calls per second — the
+	// deterministic simulation tests sweep hundreds of seeded fleet
+	// scenarios and pay the workload simulation on every step.
 	Micro
 )
 
@@ -65,7 +65,7 @@ var builders = map[string]func(Scale) (comm.Workload, error){
 			p.DescOps = 20
 			p.MatchComparisons = 5000
 		case Micro:
-			p.FrameW, p.FrameH = 32, 24
+			p.FrameW, p.FrameH = 64, 64 // orbslam's validated minimum
 			p.Frontend.Levels = 2
 			p.Frontend.MaxPerLevel = 8
 			p.PerPixelOps = 2
@@ -84,7 +84,7 @@ var builders = map[string]func(Scale) (comm.Workload, error){
 			p.VoteOps = 2
 			p.TrackOps = 2
 		case Micro:
-			p.FrameW, p.FrameH = 16, 12
+			p.FrameW, p.FrameH = 32, 32 // lanedet's validated minimum
 			p.SobelOps = 1
 			p.VoteOps = 1
 			p.TrackOps = 1

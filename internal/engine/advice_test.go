@@ -17,6 +17,7 @@ import (
 	"igpucomm/internal/faults"
 	"igpucomm/internal/framework"
 	"igpucomm/internal/microbench"
+	"igpucomm/internal/profile"
 	"igpucomm/internal/soc"
 )
 
@@ -214,6 +215,22 @@ func TestAdviceMemo(t *testing.T) {
 			}
 			if st := e.Stats().Advice; st.Executions != 2 || st.Hits != 1 || st.Entries != 1 {
 				t.Errorf("advice memo = %+v, want 2 executions (failed + retried) / 1 hit / 1 entry", st)
+			}
+		}},
+		{"rejected current model runs no model", func(t *testing.T, e *Engine) {
+			for _, cur := range []string{"sc-async", "hybrid", "bogus"} {
+				var runs atomic.Int64
+				w := countingWorkload(mustCatalog(t, "shwfs", catalog.Micro), &runs)
+				_, want := framework.Advise(char, profile.Profile{}, profile.Profile{}, cur)
+				r := req(w)
+				r.Current = cur
+				_, err := e.AdviseWith(ctx, char, r)
+				if err == nil || want == nil || err.Error() != want.Error() {
+					t.Fatalf("current %q: err = %v, want Advise's %v", cur, err, want)
+				}
+				if runs.Load() != 0 {
+					t.Errorf("current %q: the workload ran %d times before the rejection", cur, runs.Load())
+				}
 			}
 		}},
 	}

@@ -150,13 +150,17 @@ func (r Recommendation) SpeedupPercent() float64 { return perfmodel.SpeedupPerce
 // AdviseWorkload profiles the workload on the platform under SC (for
 // classification — profiling under ZC would hide cache demand behind the
 // inflated kernel time) and under the current model (for the switching
-// estimates), then runs the Fig-2 decision flow.
+// estimates), then runs the Fig-2 decision flow. A current model Advise
+// would reject is rejected with the same error before any profiling.
 func AdviseWorkload(ctx context.Context, char Characterization, s *soc.SoC, w comm.Workload, currentModel string) (Recommendation, error) {
 	ctx, span := telemetry.Start(ctx, "framework.advise",
 		telemetry.String("platform", char.Platform),
 		telemetry.String("workload", w.Name),
 		telemetry.String("current", currentModel))
 	defer span.End()
+	if err := checkCurrentModel(currentModel); err != nil {
+		return Recommendation{}, err
+	}
 	classify, err := profile.Collect(ctx, s, w, comm.SC{})
 	if err != nil {
 		return Recommendation{}, fmt.Errorf("framework: classification profile: %w", err)
@@ -183,16 +187,24 @@ func AdviseWorkload(ctx context.Context, char Characterization, s *soc.SoC, w co
 	return rec, err
 }
 
+// checkCurrentModel rejects a current model the decision flow has no
+// switching estimates from: only SC, UM and ZC are starting points.
+func checkCurrentModel(currentModel string) error {
+	switch currentModel {
+	case "sc", "um", "zc":
+		return nil
+	}
+	return fmt.Errorf("framework: unknown current model %q", currentModel)
+}
+
 // Advise runs the Fig-2 decision flow. classify must be a caches-on (SC)
 // profile of the workload — the source of the cache-usage metrics; current
 // must be a profile under currentModel — the source of the timings the
 // switching estimates start from. When the current model is SC, pass the
 // same profile twice.
 func Advise(char Characterization, classify, current profile.Profile, currentModel string) (Recommendation, error) {
-	switch currentModel {
-	case "sc", "um", "zc":
-	default:
-		return Recommendation{}, fmt.Errorf("framework: unknown current model %q", currentModel)
+	if err := checkCurrentModel(currentModel); err != nil {
+		return Recommendation{}, err
 	}
 	for _, p := range []profile.Profile{classify, current} {
 		if p.Platform != char.Platform {

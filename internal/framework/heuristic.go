@@ -36,10 +36,8 @@ const scratchDominanceRatio = 0.5
 // configuration alone, with no characterization or profiling. It powers
 // advisord's degraded mode.
 func HeuristicAdvise(cfg soc.Config, w comm.Workload, currentModel string) (Recommendation, error) {
-	switch currentModel {
-	case "sc", "um", "zc":
-	default:
-		return Recommendation{}, fmt.Errorf("framework: unknown current model %q", currentModel)
+	if err := checkCurrentModel(currentModel); err != nil {
+		return Recommendation{}, err
 	}
 	transfer := specBytes(w.In) + specBytes(w.Out)
 	scratch := specBytes(w.Scratch)

@@ -51,13 +51,17 @@ type CompiledKernel struct {
 
 	smCompute []units.Cycles
 	smWarps   []int
-	smTxnEnd  []int32 // exclusive end index into the transaction arrays, per SM
+	smTxnEnd  []int32 // exclusive end index into addrs, per SM
 
-	// The transaction stream: ready-to-issue cache accesses plus a parallel
-	// path byte. Storing accesses directly lets the replay hand contiguous
-	// same-path groups to the batch cache kernels without copying.
-	accs  []cache.Access
-	paths []uint8
+	// The transaction stream: one address per transaction, plus the
+	// attributes (path, kind, size) as runs over maximal stretches of
+	// consecutive transactions that share them. The attributes change
+	// rarely — a coalesced stream is long stretches of same-size cached
+	// lines or same-size pinned lanes — so the stream costs 8 bytes per
+	// transaction instead of a 24-byte cache.Access and a path byte, which
+	// is what lets a paper-scale working set stay in the kernel cache.
+	addrs []int64
+	runs  []txnRun
 
 	// progH1/progH2 fingerprint the emitted programs: the sum of every
 	// lane's digest (laneDigest), accumulated during compile emission when
@@ -71,10 +75,24 @@ type CompiledKernel struct {
 	valid bool
 }
 
+// txnRun gives the attributes shared by the transactions from the previous
+// run's end up to end (exclusive, an index into addrs).
+type txnRun struct {
+	end  int32
+	path uint8
+	kind cache.Kind
+	size int64
+}
+
 const (
 	pathCached uint8 = iota // through the issuing SM's L1
 	pathPinned              // down the pinned (zero-copy) path
 )
+
+// replayChunk is how many transactions LaunchCompiled expands into
+// cache.Access records per batch-kernel call: enough to amortize the call,
+// while the two replay buffers it sizes stay at 96 KiB each.
+const replayChunk = 4096
 
 // Epoch is the pinned-routing generation this kernel was compiled under; it
 // must match GPU.PinnedEpoch for LaunchCompiled to accept the kernel.
@@ -84,7 +102,7 @@ func (ck *CompiledKernel) Epoch() uint64 { return ck.epoch }
 func (ck *CompiledKernel) Name() string { return ck.name }
 
 // Transactions returns the size of the compiled transaction stream.
-func (ck *CompiledKernel) Transactions() int64 { return int64(len(ck.accs)) }
+func (ck *CompiledKernel) Transactions() int64 { return int64(len(ck.addrs)) }
 
 func (ck *CompiledKernel) reset(k Kernel, warpCount, sms int, epoch uint64) {
 	ck.name = k.Name
@@ -105,18 +123,27 @@ func (ck *CompiledKernel) reset(k Kernel, warpCount, sms int, epoch uint64) {
 		ck.smWarps[i] = 0
 		ck.smTxnEnd[i] = 0
 	}
-	ck.accs = ck.accs[:0]
-	ck.paths = ck.paths[:0]
+	ck.addrs = ck.addrs[:0]
+	ck.runs = ck.runs[:0]
 	ck.progH1 = 0
 	ck.progH2 = 0
 	ck.epoch = epoch
 	ck.valid = false
 }
 
+// appendTxn appends one transaction, extending the last attribute run when
+// the attributes match it.
 func (ck *CompiledKernel) appendTxn(path uint8, kind cache.Kind, addr, size int64) {
-	ck.accs = append(ck.accs, cache.Access{Addr: addr, Size: size, Kind: kind})
-	ck.paths = append(ck.paths, path)
+	ck.addrs = append(ck.addrs, addr)
 	ck.txnBytes += size
+	end := int32(len(ck.addrs))
+	if n := len(ck.runs); n > 0 {
+		if r := &ck.runs[n-1]; r.path == path && r.kind == kind && r.size == size {
+			r.end = end
+			return
+		}
+	}
+	ck.runs = append(ck.runs, txnRun{end: end, path: path, kind: kind, size: size})
 }
 
 // laneCursor walks one lane's run-length-encoded program.
@@ -214,7 +241,7 @@ func (g *GPU) CompileInto(k Kernel, ck *CompiledKernel) error {
 				return err
 			}
 		}
-		ck.smTxnEnd[smIdx] = int32(len(ck.accs))
+		ck.smTxnEnd[smIdx] = int32(len(ck.addrs))
 	}
 	ck.valid = true
 	return nil
@@ -472,8 +499,10 @@ func firstOpMismatch(a, b []isa.Run) (slot int, opA, opB isa.Op, ok bool) {
 	return 0, 0, 0, true
 }
 
-// replayScratch holds the replay executor's reusable buffers.
+// replayScratch holds the replay executor's reusable buffers: a fixed-size
+// chunk of expanded accesses and their results.
 type replayScratch struct {
+	accs  []cache.Access
 	outs  []cache.Result
 	batch cache.Batch
 }
@@ -484,6 +513,11 @@ type replayScratch struct {
 // model tail. The result is byte-identical to LaunchReference of the source
 // kernel. It is an error to replay a kernel compiled under different pinned
 // routing (see PinnedEpoch) or one whose compile failed.
+//
+// The stream is expanded into cache.Access records a chunk at a time; a
+// chunk holds consecutive same-path transactions of one SM. Splitting a
+// same-path group into chunks is exact, because DoBatch is byte-identical
+// to Do per access in order.
 func (g *GPU) LaunchCompiled(ck *CompiledKernel) (Result, error) {
 	if !ck.valid {
 		return Result{}, fmt.Errorf("gpu %s: compiled kernel %s is not valid", g.cfg.Name, ck.name)
@@ -495,43 +529,54 @@ func (g *GPU) LaunchCompiled(ck *CompiledKernel) (Result, error) {
 	var res Result
 	res.Warps = ck.warpCount
 	res.Instructions = ck.instructions
-	res.Transactions = int64(len(ck.accs))
+	res.Transactions = int64(len(ck.addrs))
 	res.TransactionBytes = ck.txnBytes
 	res.BytesRequested = ck.bytesRequested
 
-	start := 0
+	rs := &g.replay
+	if rs.accs == nil {
+		rs.accs = make([]cache.Access, replayChunk)
+		rs.outs = make([]cache.Result, replayChunk)
+	}
+	t, ri := int32(0), 0
 	for si, s := range g.sms {
 		s.computeCycles = ck.smCompute[si]
 		s.memLatency = 0
 		s.warps = ck.smWarps[si]
-		end := int(ck.smTxnEnd[si])
-		for t := start; t < end; {
-			p := ck.paths[t]
-			r := t + 1
-			for r < end && ck.paths[r] == p {
-				r++
+		end := ck.smTxnEnd[si]
+		n := 0
+		var path uint8
+		for t < end {
+			for ck.runs[ri].end <= t {
+				ri++
 			}
-			g.replayGroup(s, ck, p, t, r)
-			t = r
+			r := &ck.runs[ri]
+			if n > 0 && (r.path != path || n == replayChunk) {
+				g.replayGroup(s, path, n)
+				n = 0
+			}
+			path = r.path
+			stop := min(r.end, end, t+int32(replayChunk-n))
+			for ; t < stop; t++ {
+				rs.accs[n] = cache.Access{Addr: ck.addrs[t], Size: r.size, Kind: r.kind}
+				n++
+			}
 		}
-		start = end
+		if n > 0 {
+			g.replayGroup(s, path, n)
+		}
 	}
 
 	g.finishResult(&res, before, ck.warpCount, g.resident())
 	return res, nil
 }
 
-// replayGroup services the consecutive same-path transactions [lo, hi)
-// through the batch cache kernels and accumulates their latencies into the
-// SM in transaction order. The access group is a direct slice of the
-// compiled stream — no per-launch copying.
-func (g *GPU) replayGroup(s *sm, ck *CompiledKernel, path uint8, lo, hi int) {
+// replayGroup services the first n expanded accesses of the replay chunk —
+// consecutive same-path transactions — through the batch cache kernels and
+// accumulates their latencies into the SM in transaction order.
+func (g *GPU) replayGroup(s *sm, path uint8, n int) {
 	rs := &g.replay
-	n := hi - lo
-	if cap(rs.outs) < n {
-		rs.outs = make([]cache.Result, n)
-	}
-	accs := ck.accs[lo:hi]
+	accs := rs.accs[:n]
 	outs := rs.outs[:n]
 	if g.heat != nil && path == pathPinned {
 		// Pinned transactions bypass the caches, so the replay records them
@@ -553,7 +598,7 @@ func (g *GPU) replayGroup(s *sm, ck *CompiledKernel, path uint8, lo, hi int) {
 			}
 		}
 	}
-	for j := 0; j < n; j++ {
+	for j := range outs {
 		s.memLatency += outs[j].Latency
 	}
 }

@@ -8,8 +8,12 @@ package gpu
 // warps — and fails on the first observable divergence.
 
 import (
+	"bytes"
+	"reflect"
 	"testing"
+	"unsafe"
 
+	"igpucomm/internal/heatmap"
 	"igpucomm/internal/isa"
 	"igpucomm/internal/memdev"
 	"igpucomm/internal/units"
@@ -38,11 +42,12 @@ func twinGPUs() (ref, batch *GPU) {
 // group is one slot shared by every thread (SIMT), with per-thread addresses.
 // Byte 0 picks the slot kind (compute run, load, store, masked load), byte 1
 // the base region (cacheable or pinned), byte 2 the per-thread stride, byte 3
-// the access size. Returns at most 48 slots so fuzzing stays fast.
+// the access size. Returns at most 96 slots — enough for one SM's same-path
+// stretch to outgrow a replay chunk — so fuzzing stays fast.
 func fuzzKernel(data []byte, threads int) Kernel {
 	slots := len(data) / 4
-	if slots > 48 {
-		slots = 48
+	if slots > 96 {
+		slots = 96
 	}
 	return Kernel{
 		Name:    "fuzz",
@@ -87,6 +92,9 @@ func FuzzBatchVsReference(f *testing.F) {
 	f.Add([]byte{1, 200, 0, 3, 2, 220, 1, 7}, uint8(33))  // pinned read + WC write
 	f.Add([]byte{3, 8, 4, 15, 1, 8, 4, 15}, uint8(90))    // masked + partial warp
 	f.Add([]byte{2, 63, 8, 31, 1, 63, 8, 31}, uint8(255)) // wide strides, many warps
+	for _, s := range boundarySeeds {
+		f.Add(s.data, s.nthreads)
+	}
 	f.Fuzz(func(t *testing.T, data []byte, nthreads uint8) {
 		threads := int(nthreads)%128 + 1
 		ref, batch := twinGPUs()
@@ -138,6 +146,82 @@ func TestBatchVsReferenceSeeds(t *testing.T) {
 		}
 		if got != want {
 			t.Fatalf("seed %d: result divergence:\nreference: %+v\nbatch:     %+v", i, want, got)
+		}
+	}
+}
+
+// boundarySeeds are fuzz inputs whose compiled streams reach the replay's
+// partition boundaries; shape checks that they still do.
+var boundarySeeds = []struct {
+	name     string
+	data     []byte
+	nthreads uint8 // fuzz encoding: threads = nthreads%128 + 1
+	shape    func(ck *CompiledKernel) bool
+}{
+	{
+		// 128 threads of 96 unit-stride loads: each SM issues 6144 cached
+		// line reads, one attribute run that outgrows a replay chunk and
+		// continues across SM 0's stream end.
+		name: "long same-path run across chunk and SM ends", data: bytes.Repeat([]byte{1, 0, 8, 3}, 96), nthreads: 127,
+		shape: func(ck *CompiledKernel) bool {
+			return len(ck.runs) == 1 && ck.smTxnEnd[0] > replayChunk && ck.smTxnEnd[0] < ck.runs[0].end
+		},
+	},
+	{
+		// One warp per SM alternating a write-combined pinned store and a
+		// broadcast cached load: every run is one transaction long.
+		name: "alternating length-1 pinned/cached runs", data: bytes.Repeat([]byte{2, 200, 0, 3, 1, 0, 0, 3}, 24), nthreads: 63,
+		shape: func(ck *CompiledKernel) bool {
+			for i := 1; i < len(ck.runs); i++ {
+				if ck.runs[i].path == ck.runs[i-1].path {
+					return false
+				}
+			}
+			return len(ck.runs) == len(ck.addrs) && len(ck.runs) > 2
+		},
+	},
+}
+
+// TestReplayBoundariesVsReference replays the boundary seeds cold and warm,
+// with heat profiling off and on, and requires the reference executor's
+// exact results and heat records: splitting a same-path stretch into
+// chunks, clipping a run at an SM's stream end and switching paths every
+// transaction must all be invisible.
+func TestReplayBoundariesVsReference(t *testing.T) {
+	for _, s := range boundarySeeds {
+		k := fuzzKernel(s.data, int(s.nthreads)%128+1)
+		for _, heat := range []bool{false, true} {
+			ref, batch := twinGPUs()
+			ck, err := batch.Compile(k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !s.shape(ck) {
+				t.Fatalf("%s: compiled stream (%d transactions, %d runs, SM ends %v) lost the shape the case needs",
+					s.name, len(ck.addrs), len(ck.runs), ck.smTxnEnd)
+			}
+			var refHeat, batchHeat *heatmap.Accumulator
+			if heat {
+				refHeat, batchHeat = heatmap.New(4<<20, 4096), heatmap.New(4<<20, 4096)
+				ref.SetHeat(refHeat)
+				batch.SetHeat(batchHeat)
+			}
+			for pass := 0; pass < 2; pass++ {
+				want, err := ref.Launch(k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := batch.Launch(k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got != want {
+					t.Fatalf("%s (heat %v, pass %d): result divergence:\nreference: %+v\nbatch:     %+v", s.name, heat, pass, want, got)
+				}
+			}
+			if heat && (refHeat.Clock() == 0 || !reflect.DeepEqual(refHeat, batchHeat)) {
+				t.Fatalf("%s: heat records diverge from the reference (clocks %d vs %d)", s.name, refHeat.Clock(), batchHeat.Clock())
+			}
 		}
 	}
 }
@@ -345,5 +429,99 @@ func TestKernelCacheEviction(t *testing.T) {
 	}
 	if len(g.kcache) != len(g.kcacheOrder) {
 		t.Fatalf("cache map (%d) and order list (%d) out of sync", len(g.kcache), len(g.kcacheOrder))
+	}
+}
+
+// TestKernelCacheHoldsCompactWorkingSet pins what the compact stream buys: a
+// working set that fits the budget at about 8 B per transaction, but not at
+// the 25 B of a cache.Access plus a path byte, stays resident across runs.
+// From the third run on every launch is a fingerprint-validated replay —
+// nothing compiles, nothing is evicted — and bytes() tracks the storage the
+// entries actually retain, so the budget means what it says.
+func TestKernelCacheHoldsCompactWorkingSet(t *testing.T) {
+	_, g := twinGPUs()
+	const kernels, threads, loads = 12, 4096, 64
+	mk := func(i int) Kernel {
+		base := int64(i) << 24
+		return Kernel{Name: "stream", Threads: threads, Program: func(tid int, p *isa.Program) {
+			for j := 0; j < loads; j++ {
+				p.Ld(base+int64(j*threads+tid)*64, 4) // one line per lane
+			}
+		}}
+	}
+	newRun := func() { // what soc.ResetState does: same routing, new epoch
+		g.ClearPinnedRanges()
+		g.AddPinnedRange(pinnedBase, pinnedBase+8192)
+	}
+	lch := NewLauncher(g, "resident/stream")
+	resident := make(map[kernelKey]*cachedKernel)
+	for run := 0; run < 4; run++ {
+		if run > 0 {
+			newRun()
+		}
+		for i := 0; i < kernels; i++ {
+			if _, err := lch.Launch(i, mk(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		switch run {
+		case 0:
+			var txns int64
+			for _, e := range g.kcache {
+				txns += e.ck.Transactions()
+			}
+			if txns*25 <= kernelCacheBudget {
+				t.Fatalf("%d transactions fit the budget even at 25 B each; the case proves nothing", txns)
+			}
+		case 1:
+			// A compile rewrites the entry's name; a replay never does.
+			for key, e := range g.kcache {
+				e.ck.name = "replayed"
+				resident[key] = e
+			}
+		default:
+			if len(g.kcache) != kernels || len(resident) != kernels {
+				t.Fatalf("run %d: %d entries resident (%d after run 1), want %d", run, len(g.kcache), len(resident), kernels)
+			}
+			for key, e := range resident {
+				if g.kcache[key] != e {
+					t.Fatalf("run %d: entry %v was evicted", run, key)
+				}
+				if e.ck.name != "replayed" {
+					t.Fatalf("run %d: entry %v was recompiled", run, key)
+				}
+			}
+		}
+	}
+
+	// A failed compile leaves an entry behind; it must stay counted.
+	diverge := Kernel{Name: "diverge", Threads: 64, Program: func(tid int, p *isa.Program) {
+		if tid%2 == 0 {
+			p.Ld(int64(tid)*64, 4)
+		} else {
+			p.Compute(isa.FMA, 1)
+		}
+	}}
+	if _, err := lch.Launch(kernels, diverge); err == nil {
+		t.Fatal("divergent kernel compiled")
+	}
+
+	var sum int64
+	for key, e := range g.kcache {
+		ck := &e.ck
+		actual := int64(cap(ck.addrs))*int64(unsafe.Sizeof(ck.addrs[0])) +
+			int64(cap(ck.runs))*int64(unsafe.Sizeof(ck.runs[0])) +
+			int64(cap(ck.smCompute))*int64(unsafe.Sizeof(ck.smCompute[0])) +
+			int64(cap(ck.smWarps))*int64(unsafe.Sizeof(ck.smWarps[0])) +
+			int64(cap(ck.smTxnEnd))*int64(unsafe.Sizeof(ck.smTxnEnd[0])) +
+			int64(cap(e.ranges))*int64(unsafe.Sizeof(addrRange{})) +
+			int64(unsafe.Sizeof(*e))
+		if b := e.bytes(); b < actual || b > actual+512 {
+			t.Errorf("entry %v: bytes() = %d, retained storage %d", key, b, actual)
+		}
+		sum += e.bytes()
+	}
+	if sum != g.kcacheBytes || sum > kernelCacheBudget {
+		t.Fatalf("cache accounts %d bytes, entries hold %d, budget %d", g.kcacheBytes, sum, kernelCacheBudget)
 	}
 }

@@ -65,9 +65,14 @@ type cachedKernel struct {
 	ranges  []addrRange
 }
 
-// bytes approximates the entry's retained storage, for the cache budget.
+// bytes counts the entry's retained storage, for the cache budget: the
+// address array (8 B per transaction), the attribute runs (16 B each), the
+// per-SM arrays (8 B compute + 8 B warps + 4 B stream end per SM), the
+// routing evidence (16 B per range) and a fixed 512 B for the entry itself
+// and its map and order-list slots.
 func (e *cachedKernel) bytes() int64 {
-	return int64(cap(e.ck.accs))*25 + int64(cap(e.ck.smCompute))*20 + 64
+	return int64(cap(e.ck.addrs))*8 + int64(cap(e.ck.runs))*16 +
+		int64(cap(e.ck.smCompute))*20 + int64(cap(e.ranges))*16 + 512
 }
 
 type kernelKey struct {
@@ -107,6 +112,7 @@ func (g *GPU) lookupKernel(scope string, idx int, k Kernel) (*cachedKernel, erro
 		e = &cachedKernel{}
 		g.kcache[key] = e
 		g.kcacheOrder = append(g.kcacheOrder, key)
+		g.kcacheBytes += e.bytes() // balanced by the subtraction before compile
 	} else if e.ck.valid && e.threads == k.Threads {
 		if e.ck.epoch == g.pinnedEpoch {
 			return e, nil
@@ -128,14 +134,17 @@ func (g *GPU) lookupKernel(scope string, idx int, k Kernel) (*cachedKernel, erro
 	err := g.CompileInto(k, &e.ck)
 	e.hashed = g.hashCompile
 	g.hashCompile = false
+	if err == nil {
+		e.threads = k.Threads
+		e.h1, e.h2 = e.ck.progH1, e.ck.progH2
+		e.path = g.pinnedPath
+		e.ranges = append(e.ranges[:0], g.ranges...)
+	}
+	// A failed compile still retains its storage, so it stays counted.
+	g.kcacheBytes += e.bytes()
 	if err != nil {
 		return nil, err
 	}
-	e.threads = k.Threads
-	e.h1, e.h2 = e.ck.progH1, e.ck.progH2
-	e.path = g.pinnedPath
-	e.ranges = append(e.ranges[:0], g.ranges...)
-	g.kcacheBytes += e.bytes()
 	g.evictKernels(key)
 	return e, nil
 }
