@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race fmt vet lint lint-sarif lint-baseline lint-docs docs-links hazardcheck cover fuzz bench perfgate perf-smoke baseline layerbench trace chaos fleet dst ci
+.PHONY: all build test race fmt vet lint lint-sarif lint-baseline lint-docs docs-links bench-module hazardcheck cover fuzz bench perfgate perf-smoke baseline layerbench trace chaos fleet dst ci
 
 all: build
 
@@ -53,6 +53,11 @@ lint-docs:
 docs-links:
 	$(GO) run ./cmd/hazardcheck -links
 
+# The benchmark module: layerbench is a nested module, so the root
+# `go test ./...` skips it; vet and test it on its own.
+bench-module:
+	cd layerbench && $(GO) vet ./... && $(GO) test ./...
+
 # Verify every device × app × model schedule, placement and trace.
 hazardcheck:
 	$(GO) run ./cmd/hazardcheck
@@ -67,12 +72,14 @@ cover:
 	awk -v t="$$total" -v min="$(COVER_MIN)" 'BEGIN { exit (t+0 >= min+0) ? 0 : 1 }' || \
 		{ echo "coverage below $(COVER_MIN)%"; exit 1; }
 
-# Short fuzz pass over the externally-facing parsers: the hazard-trace CSV
+# Short fuzz pass over the externally-facing parsers — the hazard-trace CSV
 # reader and the NDJSON warm-handoff export reader (a malicious or buggy
-# peer must quarantine, never panic its puller).
+# peer must quarantine, never panic its puller) — and over the batch
+# simulator core against its per-access reference executor.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test ./internal/hazard -run '^$$' -fuzz FuzzParseTrace -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/gpu -run '^$$' -fuzz FuzzBatchVsReference -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/fleet -run '^$$' -fuzz FuzzReadExport -fuzztime $(FUZZTIME)
 
 # One full iteration of every engine benchmark: cold vs warm advisory
@@ -140,4 +147,4 @@ DST_ARTIFACT ?= dst-repro.json
 dst:
 	DST_ARTIFACT=$(DST_ARTIFACT) $(GO) test -race -count=1 ./internal/dst -dst.seeds=$(DST_SEEDS)
 
-ci: fmt vet lint lint-docs docs-links build race cover fuzz hazardcheck trace chaos fleet dst perf-smoke
+ci: fmt vet lint lint-docs docs-links build bench-module race cover fuzz hazardcheck trace chaos fleet dst perf-smoke

@@ -105,7 +105,7 @@ func (c *Cache) DoBatch(accs []Access, out []Result, b *Batch) {
 				lowerIdx := int32(-1)
 				hit := false
 				for w := range ways {
-					if ways[w].valid && ways[w].tag == tag {
+					if ways[w].gen == c.gen && ways[w].tag == tag {
 						ways[w].lastUse = c.useClock
 						if a.Kind != Read {
 							ways[w].dirty = true
@@ -123,7 +123,7 @@ func (c *Cache) DoBatch(accs []Access, out []Result, b *Batch) {
 				if !hit {
 					victim := 0
 					for w := range ways {
-						if !ways[w].valid {
+						if ways[w].gen != c.gen {
 							victim = w
 							break
 						}
@@ -132,7 +132,9 @@ func (c *Cache) DoBatch(accs []Access, out []Result, b *Batch) {
 						}
 					}
 					v := &ways[victim]
-					if v.valid {
+					if v.gen != c.gen {
+						c.resident++
+					} else {
 						c.stats.Evictions++
 						if v.dirty {
 							c.stats.Writebacks++
@@ -149,7 +151,7 @@ func (c *Cache) DoBatch(accs []Access, out []Result, b *Batch) {
 						lowerIdx = int32(len(b.lower))
 						b.lower = append(b.lower, Access{Addr: ln << c.offBits, Size: c.cfg.LineSize, Kind: a.Kind})
 					}
-					*v = line{tag: tag, lastUse: c.useClock, valid: true, dirty: a.Kind != Read}
+					*v = line{tag: tag, lastUse: c.useClock, gen: c.gen, dirty: a.Kind != Read}
 				}
 				b.lines = append(b.lines, lineRef{acc: int32(i), lowerIdx: lowerIdx})
 			}

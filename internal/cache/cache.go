@@ -97,10 +97,13 @@ func (c Config) Validate() error {
 	return nil
 }
 
+// line is one way of a set. It holds data iff gen equals its cache's
+// current generation, so Invalidate drops every line by bumping the
+// generation instead of clearing the array.
 type line struct {
 	tag     int64
 	lastUse uint64
-	valid   bool
+	gen     uint32
 	dirty   bool
 }
 
@@ -113,6 +116,11 @@ type Cache struct {
 	setCount int64
 	offBits  uint
 	useClock uint64
+	// gen is the current line generation (never 0; see line). resident
+	// counts the lines of that generation, so ResidentLines is O(1) and a
+	// flush stops scanning once it has visited every resident line.
+	gen      uint32
+	resident int64
 	enabled  bool
 	stats    Stats
 	// heat, when non-nil, receives one record per line serviced. Only
@@ -144,6 +152,7 @@ func New(cfg Config, lower Level) *Cache {
 		ways:     cfg.Ways,
 		setCount: setCount,
 		offBits:  offBits,
+		gen:      1,
 		enabled:  true,
 	}
 }
@@ -211,7 +220,7 @@ func (c *Cache) doLine(lineAddr int64, kind Kind) Result {
 
 	// Hit path.
 	for i := range ways {
-		if ways[i].valid && ways[i].tag == tag {
+		if ways[i].gen == c.gen && ways[i].tag == tag {
 			ways[i].lastUse = c.useClock
 			if kind != Read {
 				ways[i].dirty = true
@@ -230,7 +239,7 @@ func (c *Cache) doLine(lineAddr int64, kind Kind) Result {
 	// Miss: pick victim (invalid first, else LRU).
 	victim := 0
 	for i := range ways {
-		if !ways[i].valid {
+		if ways[i].gen != c.gen {
 			victim = i
 			break
 		}
@@ -239,7 +248,9 @@ func (c *Cache) doLine(lineAddr int64, kind Kind) Result {
 		}
 	}
 	v := &ways[victim]
-	if v.valid {
+	if v.gen != c.gen {
+		c.resident++
+	} else {
 		c.stats.Evictions++
 		if v.dirty {
 			c.stats.Writebacks++
@@ -257,7 +268,7 @@ func (c *Cache) doLine(lineAddr int64, kind Kind) Result {
 	if kind != Writeback {
 		lowerRes = c.lower.Do(Access{Addr: lineAddr << c.offBits, Size: c.cfg.LineSize, Kind: kind})
 	}
-	*v = line{tag: tag, lastUse: c.useClock, valid: true, dirty: kind != Read}
+	*v = line{tag: tag, lastUse: c.useClock, gen: c.gen, dirty: kind != Read}
 
 	served := lowerRes.ServedBy
 	if served == "" {
@@ -271,11 +282,15 @@ func (c *Cache) doLine(lineAddr int64, kind Kind) Result {
 // flushing agent (per-line tag walk plus writeback issue). This is the
 // operation the standard-copy model performs around every kernel launch.
 func (c *Cache) Flush(perLineCost units.Latency) (writebacks int64, cost units.Latency) {
-	for i := range c.sets {
+	// Lines are visited in ascending index order, as a full scan would, but
+	// the walk stops once every resident line has been seen.
+	left := c.resident
+	for i := 0; left > 0; i++ {
 		l := &c.sets[i]
-		if !l.valid {
+		if l.gen != c.gen {
 			continue
 		}
+		left--
 		cost += perLineCost
 		if l.dirty {
 			writebacks++
@@ -288,6 +303,7 @@ func (c *Cache) Flush(perLineCost units.Latency) (writebacks int64, cost units.L
 		}
 		*l = line{}
 	}
+	c.resident = 0
 	c.stats.Flushes++
 	c.stats.FlushWritebacks += writebacks
 	return writebacks, cost
@@ -324,9 +340,10 @@ func (c *Cache) FlushRange(lo, hi int64, perLineCost units.Latency) (writebacks 
 			base := set * int64(c.ways)
 			for w := int64(0); w < int64(c.ways); w++ {
 				l := &c.sets[base+w]
-				if !l.valid || l.tag != tag {
+				if l.gen != c.gen || l.tag != tag {
 					continue
 				}
+				c.resident--
 				cost += perLineCost
 				if l.dirty {
 					writebacks++
@@ -356,7 +373,7 @@ func (c *Cache) FlushRange(lo, hi int64, perLineCost units.Latency) (writebacks 
 	}
 	for i := range c.sets {
 		l := &c.sets[i]
-		if !l.valid {
+		if l.gen != c.gen {
 			continue
 		}
 		set := int64(i) / int64(c.ways)
@@ -364,6 +381,7 @@ func (c *Cache) FlushRange(lo, hi int64, perLineCost units.Latency) (writebacks 
 		if addr+c.cfg.LineSize <= lo || addr >= hi {
 			continue
 		}
+		c.resident--
 		cost += perLineCost
 		if l.dirty {
 			writebacks++
@@ -381,11 +399,16 @@ func (c *Cache) FlushRange(lo, hi int64, perLineCost units.Latency) (writebacks 
 
 // Invalidate drops all lines without writing anything back. Used to model
 // the invalidate side of software coherence (before the CPU re-reads data the
-// GPU produced under SC).
+// GPU produced under SC). It is O(1): bumping the generation makes every line
+// stale. Only when the counter wraps are the lines cleared, so a line from
+// before the wrap can never match a reused generation.
 func (c *Cache) Invalidate() {
-	for i := range c.sets {
-		c.sets[i] = line{}
+	c.gen++
+	if c.gen == 0 {
+		clear(c.sets)
+		c.gen = 1
 	}
+	c.resident = 0
 	c.stats.Invalidates++
 }
 
@@ -397,23 +420,15 @@ func (c *Cache) Contains(addr int64) bool {
 	tag := lineAddr >> uintLog2(c.setCount)
 	base := set * int64(c.ways)
 	for _, l := range c.sets[base : base+int64(c.ways)] {
-		if l.valid && l.tag == tag {
+		if l.gen == c.gen && l.tag == tag {
 			return true
 		}
 	}
 	return false
 }
 
-// ResidentLines counts valid lines; tests use it to check capacity behaviour.
-func (c *Cache) ResidentLines() int64 {
-	var n int64
-	for i := range c.sets {
-		if c.sets[i].valid {
-			n++
-		}
-	}
-	return n
-}
+// ResidentLines returns how many lines the cache holds.
+func (c *Cache) ResidentLines() int64 { return c.resident }
 
 // Stats returns a snapshot of the level's counters.
 func (c *Cache) Stats() Stats { return c.stats }

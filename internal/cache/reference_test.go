@@ -7,8 +7,12 @@ package cache
 // ground truth, so it gets the strongest check in the repository.
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
+	"unsafe"
+
+	"igpucomm/internal/units"
 )
 
 // refCache is the specification: per set, an LRU-ordered list of tags.
@@ -74,6 +78,46 @@ func (r *refCache) resident() map[int64]bool {
 		}
 	}
 	return out
+}
+
+// invalidate drops every line without writeback.
+func (r *refCache) invalidate() {
+	r.lru = make(map[int64][]int64)
+	r.dirty = make(map[int64]bool)
+}
+
+// flush drops every resident line overlapping [lo, hi) and reports how many
+// it dropped and how many of those were dirty.
+func (r *refCache) flush(lo, hi int64) (dropped, dirty int) {
+	for set, tags := range r.lru {
+		kept := tags[:0:0]
+		for _, tag := range tags {
+			line := tag*r.sets + set
+			if addr := line * r.lineSize; addr+r.lineSize <= lo || addr >= hi {
+				kept = append(kept, tag)
+				continue
+			}
+			dropped++
+			if r.dirty[line] {
+				dirty++
+			}
+			delete(r.dirty, line)
+		}
+		r.lru[set] = kept
+	}
+	return dropped, dirty
+}
+
+// scanResident counts current-generation lines by walking the whole array:
+// the definition ResidentLines' running count must agree with.
+func scanResident(c *Cache) int64 {
+	var n int64
+	for _, l := range c.sets {
+		if l.gen == c.gen {
+			n++
+		}
+	}
+	return n
 }
 
 // countingSink tallies writebacks so the dirty-eviction behaviour can be
@@ -190,5 +234,167 @@ func TestDifferentialLongSequence(t *testing.T) {
 	}
 	if hr := real.Stats().HitRate(); hr <= 0 || hr >= 1 {
 		t.Fatalf("suspicious hit rate %v for a mixed sequence", hr)
+	}
+}
+
+// TestResidentCountAgainstReferenceModel drives seeded mixes of Do,
+// DoBatch, Invalidate, Flush and FlushRange — over both its sparse
+// touched-sets path and its dense scan — through the cache and the refCache
+// specification. After every operation the O(1) resident count must equal a
+// full scan of the line array and the specification's resident set, and
+// hits, writebacks and flush walk costs must classify identically.
+func TestResidentCountAgainstReferenceModel(t *testing.T) {
+	var sparse, dense int
+	for seed := uint64(1); seed <= 300; seed++ {
+		rng := xorshift(seed*0x9e3779b97f4a7c15 + 7)
+		cfg := streamGeometries[rng.next()%uint64(len(streamGeometries))]
+		sink := &countingSink{}
+		c := New(cfg, sink)
+		ref := newRefCache(cfg.Size, cfg.LineSize, cfg.Ways)
+		refWritebacks := 0
+		var scratch Batch
+		span := 4 * cfg.Size / cfg.LineSize // lines the stream draws from
+		access := func(a Access) int {
+			hits := 0
+			first := a.Addr / cfg.LineSize
+			last := (a.Addr + a.Size - 1) / cfg.LineSize
+			for ln := first; ln <= last; ln++ {
+				hit, evictedDirty := ref.access(ln*cfg.LineSize, a.Kind == Write)
+				if hit {
+					hits++
+				}
+				if evictedDirty {
+					refWritebacks++
+				}
+			}
+			return hits
+		}
+		randAccess := func() Access {
+			kind := Read
+			if rng.next()%3 == 0 {
+				kind = Write
+			}
+			return Access{Addr: int64(rng.next()%uint64(span))*cfg.LineSize + int64(rng.next()%8), Size: int64(rng.next()%96) + 1, Kind: kind}
+		}
+		for op := 0; op < 200; op++ {
+			var what string
+			before := c.Stats().Hits()
+			wantHits := 0
+			switch r := rng.next() % 16; {
+			case r < 8:
+				what = "Do"
+				a := randAccess()
+				c.Do(a)
+				wantHits = access(a)
+			case r < 11:
+				what = "DoBatch"
+				accs := make([]Access, rng.next()%12+1)
+				for i := range accs {
+					accs[i] = randAccess()
+					wantHits += access(accs[i])
+				}
+				c.DoBatch(accs, make([]Result, len(accs)), &scratch)
+			case r < 12:
+				what = "Invalidate"
+				c.Invalidate()
+				ref.invalidate()
+			case r < 13:
+				what = "Flush"
+				resident := c.ResidentLines()
+				wb, cost := c.Flush(1)
+				dropped, dirty := ref.flush(0, math.MaxInt64)
+				refWritebacks += dirty
+				if int64(dropped) != resident || wb != int64(dirty) || cost != units.Latency(dropped) {
+					t.Fatalf("seed %d op %d: Flush dropped %d lines (cost %v, %d writebacks), ref %d lines (%d dirty)",
+						seed, op, resident, cost, wb, dropped, dirty)
+				}
+			default:
+				// Ranges shorter than the set count take the sparse path;
+				// longer ones the dense scan.
+				lines := int64(rng.next()%uint64(3*c.setCount)) + 1
+				if lines < c.setCount {
+					what = "FlushRange/sparse"
+					sparse++
+				} else {
+					what = "FlushRange/dense"
+					dense++
+				}
+				lo := int64(rng.next()%uint64(span))*cfg.LineSize + int64(rng.next()%uint64(cfg.LineSize))
+				hi := lo + (lines-1)*cfg.LineSize + 1
+				wb, cost := c.FlushRange(lo, hi, 1)
+				dropped, dirty := ref.flush(lo, hi)
+				refWritebacks += dirty
+				if wb != int64(dirty) || cost != units.Latency(dropped) {
+					t.Fatalf("seed %d op %d: FlushRange [%d,%d) cost %v with %d writebacks, ref %d lines (%d dirty)",
+						seed, op, lo, hi, cost, wb, dropped, dirty)
+				}
+			}
+			if got := int(c.Stats().Hits() - before); got != wantHits {
+				t.Fatalf("seed %d op %d (%s): %d line hits, ref %d", seed, op, what, got, wantHits)
+			}
+			refResident := ref.resident()
+			if n, scan := c.ResidentLines(), scanResident(c); n != scan || n != int64(len(refResident)) {
+				t.Fatalf("seed %d op %d (%s): ResidentLines %d, full scan %d, ref %d", seed, op, what, n, scan, len(refResident))
+			}
+			for line := range refResident {
+				if !c.Contains(line * cfg.LineSize) {
+					t.Fatalf("seed %d op %d (%s): line %d resident in ref but not in cache", seed, op, what, line)
+				}
+			}
+			if sink.writebacks != refWritebacks {
+				t.Fatalf("seed %d op %d (%s): writebacks %d, ref %d", seed, op, what, sink.writebacks, refWritebacks)
+			}
+		}
+	}
+	if sparse == 0 || dense == 0 {
+		t.Fatalf("FlushRange paths exercised: sparse %d, dense %d; both must run", sparse, dense)
+	}
+}
+
+// TestInvalidateGenerationWrap pins the one non-O(1) Invalidate: when the
+// generation counter wraps, the line array is cleared, so a line filled
+// generations ago cannot come back to life when the counter reuses its
+// generation, and the cache refills exactly like a fresh one.
+func TestInvalidateGenerationWrap(t *testing.T) {
+	if size := unsafe.Sizeof(line{}); size != 24 {
+		t.Fatalf("line is %d bytes, want 24", size)
+	}
+	cfg := Config{Name: "c", Size: 1024, LineSize: 64, Ways: 2, HitLatency: 1}
+	c := New(cfg, &countingSink{})
+	// Generation 1 fills all 16 ways; they would match a reused generation 1.
+	for i := int64(0); i < 16; i++ {
+		c.Do(Access{Addr: i * 64, Size: 8, Kind: Write})
+	}
+	c.Invalidate()
+	// Jump to the last generation and refill half the sets there — stale
+	// generation-1 lines stay in the other half — then wrap.
+	c.gen = math.MaxUint32
+	for i := int64(16); i < 20; i++ {
+		c.Do(Access{Addr: i * 64, Size: 8, Kind: Read})
+	}
+	if c.ResidentLines() != 4 {
+		t.Fatalf("resident before wrap = %d, want 4", c.ResidentLines())
+	}
+	c.Invalidate()
+	if c.gen != 1 || c.ResidentLines() != 0 || scanResident(c) != 0 {
+		t.Fatalf("after wrap: gen %d, ResidentLines %d, scan %d; want 1, 0, 0", c.gen, c.ResidentLines(), scanResident(c))
+	}
+	for i := int64(0); i < 20; i++ {
+		if c.Contains(i * 64) {
+			t.Fatalf("line %d from before the wrap is still resident", i)
+		}
+	}
+	c.ResetStats()
+	fresh := New(cfg, &countingSink{})
+	rng := xorshift(0x5eed)
+	for i := 0; i < 400; i++ {
+		a := Access{Addr: int64(rng.next() % 4096), Size: int64(rng.next()%70) + 1, Kind: Kind(rng.next() % 2)}
+		if got, want := c.Do(a), fresh.Do(a); got != want {
+			t.Fatalf("access %d (%+v): wrapped cache %+v, fresh cache %+v", i, a, got, want)
+		}
+	}
+	if got, want := c.Stats(), fresh.Stats(); got != want || c.ResidentLines() != fresh.ResidentLines() || c.ResidentLines() != scanResident(c) {
+		t.Fatalf("wrapped cache diverged from a fresh one: stats %+v vs %+v, resident %d vs %d",
+			got, want, c.ResidentLines(), fresh.ResidentLines())
 	}
 }

@@ -167,7 +167,6 @@ type memEvent struct {
 // only the CompiledKernel's own (also reused) arrays.
 type compiler struct {
 	warps    []int
-	lanes    []int
 	cur      []laneCursor
 	laneRuns [][]isa.Run
 	events   []memEvent
@@ -226,7 +225,6 @@ func (g *GPU) CompileInto(k Kernel, ck *CompiledKernel) error {
 	ws := g.cfg.WarpSize
 	warpCount := (k.Threads + ws - 1) / ws
 	resident := g.resident()
-	g.ensureLaneBuffers(resident)
 	g.comp.ensure(ws, resident)
 	ck.reset(k, warpCount, len(g.sms), g.pinnedEpoch)
 
@@ -247,157 +245,69 @@ func (g *GPU) CompileInto(k Kernel, ck *CompiledKernel) error {
 	return nil
 }
 
-// compileBatch compiles one resident batch: emit lanes, validate, charge
-// compute in bulk per run segment, then emit the batch's memory transactions
-// in the reference executor's slot-major interleaved order.
+// compileBatch compiles one resident batch a warp at a time: emit the
+// warp's lanes, validate lane 0, check convergence, then walk its runs right
+// away — charging compute in bulk per run segment and capturing its memory
+// events — so one warp of lane programs is all the scratch compilation
+// holds. Errors surface in the reference executor's order (warps in batch
+// order, emission before validation before convergence), and the walk
+// cannot fail. The batch's memory transactions are then emitted in the
+// reference executor's slot-major interleaved order.
 func (g *GPU) compileBatch(k Kernel, smIdx int, ck *CompiledKernel) error {
 	c := &g.comp
 	ws := g.cfg.WarpSize
-
-	// Emission, validation and convergence, warp by warp in batch order —
-	// the same error-discovery order as the reference executor.
-	c.lanes = c.lanes[:0]
+	c.events = c.events[:0]
+	c.evLanes = c.evLanes[:0]
+	maxLen := 0
 	for bi, w := range c.warps {
-		lanes := ws
-		if last := k.Threads - w*ws; last < lanes {
-			lanes = last
-		}
-		c.lanes = append(c.lanes, lanes)
-		for l := 0; l < lanes; l++ {
-			p := &g.laneProgs[bi*ws+l]
+		lanes := min(ws, k.Threads-w*ws)
+		progs := g.laneProgs[:lanes]
+		laneRuns := c.laneRuns[:lanes]
+		for l := range progs {
+			p := &progs[l]
 			p.Reset()
 			k.Program(w*ws+l, p)
+			laneRuns[l] = p.Runs()
 			if g.hashCompile {
-				d1, d2 := laneDigest(w*ws+l, p.Runs())
+				d1, d2 := laneDigest(w*ws+l, laneRuns[l])
 				ck.progH1 += d1
 				ck.progH2 += d2
 			}
 		}
 		idx := 0
-		for _, r := range g.laneProgs[bi*ws].Runs() {
+		for _, r := range laneRuns[0] {
 			if err := r.In.Validate(); err != nil {
 				return fmt.Errorf("kernel %s: warp %d lane 0 instr %d: %w", k.Name, w, idx, err)
 			}
 			idx += int(r.Count)
 		}
-		ref := &g.laneProgs[bi*ws]
+		// One pass per lane decides convergence and lockstep together: a
+		// lane with lane 0's shape converges and shares its run boundaries.
+		// Only the rest pay for the slot-by-slot convergence check.
+		lockstep := true
 		for l := 1; l < lanes; l++ {
-			other := &g.laneProgs[bi*ws+l]
-			if other.Len() != ref.Len() {
-				return fmt.Errorf("kernel %s: warp %d diverges: lane 0 has %d instrs, lane %d has %d",
-					k.Name, w, ref.Len(), l, other.Len())
+			if sameShape(laneRuns[0], laneRuns[l]) {
+				continue
 			}
-			if slot, opA, opB, ok := firstOpMismatch(ref.Runs(), other.Runs()); !ok {
+			lockstep = false
+			if progs[l].Len() != progs[0].Len() {
+				return fmt.Errorf("kernel %s: warp %d diverges: lane 0 has %d instrs, lane %d has %d",
+					k.Name, w, progs[0].Len(), l, progs[l].Len())
+			}
+			if slot, opA, opB, ok := firstOpMismatch(laneRuns[0], laneRuns[l]); !ok {
 				return fmt.Errorf("kernel %s: warp %d instr %d diverges: lane 0 %s vs lane %d %s",
 					k.Name, w, slot, opA, l, opB)
 			}
 		}
 		ck.smWarps[smIdx]++
-	}
 
-	// Per-warp run walk: bulk compute charging plus memory-event capture.
-	// Segments are bounded by every lane's run boundaries, so each lane's
-	// opcode — and therefore the slot's effective opcode — is constant
-	// within a segment.
-	c.events = c.events[:0]
-	c.evLanes = c.evLanes[:0]
-	maxLen := 0
-	for bi := range c.warps {
+		total := progs[0].Len()
+		maxLen = max(maxLen, total)
 		c.evStart[bi] = int32(len(c.events))
-		lanes := c.lanes[bi]
-		total := g.laneProgs[bi*ws].Len()
-		if total > maxLen {
-			maxLen = total
-		}
-		laneRuns := c.laneRuns[:lanes]
-		for l := 0; l < lanes; l++ {
-			laneRuns[l] = g.laneProgs[bi*ws+l].Runs()
-		}
-
-		// Lockstep fast path: when every lane's run boundaries coincide
-		// (the common case — masked lanes with wider Nop runs are the
-		// exception), the walk advances one whole run at a time with no
-		// per-lane cursors; the segment decomposition, and with it every
-		// emitted quantity, is identical to the generic walk's.
-		runs0 := laneRuns[0]
-		lockstep := true
-		for l := 1; l < lanes && lockstep; l++ {
-			rl := laneRuns[l]
-			if len(rl) != len(runs0) {
-				lockstep = false
-				break
-			}
-			for ri := range rl {
-				if rl[ri].Count != runs0[ri].Count {
-					lockstep = false
-					break
-				}
-			}
-		}
 		if lockstep {
-			slot := 0
-			for ri := range runs0 {
-				step := int(runs0[ri].Count)
-				eff := runs0[ri].In.Op
-				if eff == isa.Nop {
-					for l := 1; l < lanes; l++ {
-						if op := laneRuns[l][ri].In.Op; op != isa.Nop {
-							eff = op
-							break
-						}
-					}
-				}
-				ck.instructions += int64(lanes) * int64(step)
-				ck.smCompute[smIdx] += g.costs.Cost(eff) * units.Cycles(step)
-				if eff.IsMemory() {
-					// A memory run has Count 1, so step is 1 here.
-					ev := memEvent{slot: int32(slot), laneStart: int32(len(c.evLanes)), laneCount: int32(lanes), op: eff}
-					for l := 0; l < lanes; l++ {
-						c.evLanes = append(c.evLanes, laneRuns[l][ri].In)
-					}
-					c.events = append(c.events, ev)
-				}
-				slot += step
-			}
-			c.evEnd[bi] = int32(len(c.events))
-			continue
-		}
-
-		cur := c.cur[:lanes]
-		for l := 0; l < lanes; l++ {
-			cur[l] = laneCursor{runs: laneRuns[l]}
-		}
-		slot := 0
-		for slot < total {
-			step := total - slot
-			eff := isa.Nop
-			for l := 0; l < lanes; l++ {
-				r := &cur[l].runs[cur[l].idx]
-				if rem := int(r.Count - cur[l].off); rem < step {
-					step = rem
-				}
-				if eff == isa.Nop && r.In.Op != isa.Nop {
-					eff = r.In.Op
-				}
-			}
-			ck.instructions += int64(lanes) * int64(step)
-			ck.smCompute[smIdx] += g.costs.Cost(eff) * units.Cycles(step)
-			if eff.IsMemory() {
-				// A memory run has Count 1, so step is 1 here.
-				ev := memEvent{slot: int32(slot), laneStart: int32(len(c.evLanes)), laneCount: int32(lanes), op: eff}
-				for l := 0; l < lanes; l++ {
-					c.evLanes = append(c.evLanes, cur[l].runs[cur[l].idx].In)
-				}
-				c.events = append(c.events, ev)
-			}
-			for l := 0; l < lanes; l++ {
-				cur[l].off += int32(step)
-				if cur[l].off == cur[l].runs[cur[l].idx].Count {
-					cur[l].idx++
-					cur[l].off = 0
-				}
-			}
-			slot += step
+			g.walkLockstep(ck, smIdx, laneRuns)
+		} else {
+			g.walkSegments(ck, smIdx, laneRuns, total)
 		}
 		c.evEnd[bi] = int32(len(c.events))
 	}
@@ -415,6 +325,83 @@ func (g *GPU) compileBatch(k Kernel, smIdx int, ck *CompiledKernel) error {
 		}
 	}
 	return nil
+}
+
+// walkLockstep walks a warp whose lanes share lane 0's run boundaries (the
+// common case — masked lanes with wider Nop runs are the exception) one
+// whole run at a time, with no per-lane cursors. Its segment decomposition,
+// and with it every charged and captured quantity, is walkSegments'.
+func (g *GPU) walkLockstep(ck *CompiledKernel, smIdx int, laneRuns [][]isa.Run) {
+	c := &g.comp
+	lanes := len(laneRuns)
+	slot := 0
+	for ri, r0 := range laneRuns[0] {
+		step := int(r0.Count)
+		eff := r0.In.Op
+		if eff == isa.Nop {
+			for l := 1; l < lanes; l++ {
+				if op := laneRuns[l][ri].In.Op; op != isa.Nop {
+					eff = op
+					break
+				}
+			}
+		}
+		ck.instructions += int64(lanes) * int64(step)
+		ck.smCompute[smIdx] += g.costs.Cost(eff) * units.Cycles(step)
+		if eff.IsMemory() {
+			// A memory run has Count 1, so step is 1 here.
+			ev := memEvent{slot: int32(slot), laneStart: int32(len(c.evLanes)), laneCount: int32(lanes), op: eff}
+			for l := 0; l < lanes; l++ {
+				c.evLanes = append(c.evLanes, laneRuns[l][ri].In)
+			}
+			c.events = append(c.events, ev)
+		}
+		slot += step
+	}
+}
+
+// walkSegments walks a converged warp of total slots in segments bounded by
+// every lane's run boundaries, so each lane's opcode — and therefore the
+// slot's effective opcode — is constant within a segment.
+func (g *GPU) walkSegments(ck *CompiledKernel, smIdx int, laneRuns [][]isa.Run, total int) {
+	c := &g.comp
+	lanes := len(laneRuns)
+	cur := c.cur[:lanes]
+	for l := range cur {
+		cur[l] = laneCursor{runs: laneRuns[l]}
+	}
+	slot := 0
+	for slot < total {
+		step := total - slot
+		eff := isa.Nop
+		for l := range cur {
+			r := &cur[l].runs[cur[l].idx]
+			if rem := int(r.Count - cur[l].off); rem < step {
+				step = rem
+			}
+			if eff == isa.Nop && r.In.Op != isa.Nop {
+				eff = r.In.Op
+			}
+		}
+		ck.instructions += int64(lanes) * int64(step)
+		ck.smCompute[smIdx] += g.costs.Cost(eff) * units.Cycles(step)
+		if eff.IsMemory() {
+			// A memory run has Count 1, so step is 1 here.
+			ev := memEvent{slot: int32(slot), laneStart: int32(len(c.evLanes)), laneCount: int32(lanes), op: eff}
+			for l := range cur {
+				c.evLanes = append(c.evLanes, cur[l].runs[cur[l].idx].In)
+			}
+			c.events = append(c.events, ev)
+		}
+		for l := range cur {
+			cur[l].off += int32(step)
+			if cur[l].off == cur[l].runs[cur[l].idx].Count {
+				cur[l].idx++
+				cur[l].off = 0
+			}
+		}
+		slot += step
+	}
 }
 
 // emitTxns coalesces one memory warp-instruction into transactions, exactly
@@ -466,6 +453,25 @@ func (g *GPU) emitTxns(ck *CompiledKernel, ev *memEvent) {
 	for _, ln := range c.lineBuf {
 		ck.appendTxn(pathCached, kind, ln*lineSize, lineSize)
 	}
+}
+
+// sameShape reports whether lane b has lane a's run structure — the same run
+// count and every run the same length — with each run's op equal to a's or
+// masked off by a Nop on either side. Passing proves both that b converges
+// with a and that the two walk in lockstep.
+func sameShape(a, b []isa.Run) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].Count != b[i].Count {
+			return false
+		}
+		if opA, opB := a[i].In.Op, b[i].In.Op; opA != opB && opA != isa.Nop && opB != isa.Nop {
+			return false
+		}
+	}
+	return true
 }
 
 // firstOpMismatch scans two run-length-encoded lanes for the first slot

@@ -9,6 +9,7 @@ package gpu
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"testing"
 	"unsafe"
@@ -42,8 +43,12 @@ func twinGPUs() (ref, batch *GPU) {
 // group is one slot shared by every thread (SIMT), with per-thread addresses.
 // Byte 0 picks the slot kind (compute run, load, store, masked load), byte 1
 // the base region (cacheable or pinned), byte 2 the per-thread stride, byte 3
-// the access size. Returns at most 96 slots — enough for one SM's same-path
-// stretch to outgrow a replay chunk — so fuzzing stays fast.
+// the access size. A byte 0 of 0xF0 or more confines the slot's lane
+// variation to threads past the first 32-lane warp: a masked slot masks odd
+// lanes only there, and a load slot turns into a store on odd lanes there —
+// the same run shape with a conflicting op, which makes the kernel invalid.
+// Returns at most 96 slots — enough for one SM's same-path stretch to
+// outgrow a replay chunk — so fuzzing stays fast.
 func fuzzKernel(data []byte, threads int) Kernel {
 	slots := len(data) / 4
 	if slots > 96 {
@@ -62,16 +67,21 @@ func fuzzKernel(data []byte, threads int) Kernel {
 				stride := int64(b2 % 9 * 8)
 				size := int64(b3%32) + 1
 				addr := base + int64(tid)*stride
+				varies := tid%2 == 1 && (b0 < 0xF0 || tid >= 32)
 				switch b0 % 4 {
 				case 0:
 					p.Compute(isa.FMA, int(b2%5)+1)
 				case 1:
-					p.Ld(addr, size)
+					if varies && b0 >= 0xF0 {
+						p.St(addr, size)
+					} else {
+						p.Ld(addr, size)
+					}
 				case 2:
 					p.St(addr, size)
 				case 3:
 					// Masked slot: odd lanes sit this one out (predication).
-					if tid%2 == 1 {
+					if varies {
 						p.PadTo(p.Len() + 1)
 					} else {
 						p.Ld(addr, size)
@@ -95,6 +105,9 @@ func FuzzBatchVsReference(f *testing.F) {
 	for _, s := range boundarySeeds {
 		f.Add(s.data, s.nthreads)
 	}
+	for _, s := range warpSeeds {
+		f.Add(s.data, s.nthreads)
+	}
 	f.Fuzz(func(t *testing.T, data []byte, nthreads uint8) {
 		threads := int(nthreads)%128 + 1
 		ref, batch := twinGPUs()
@@ -102,7 +115,7 @@ func FuzzBatchVsReference(f *testing.F) {
 
 		want, errRef := ref.Launch(k)
 		got, errBatch := batch.Launch(k)
-		if (errRef == nil) != (errBatch == nil) {
+		if fmt.Sprint(errRef) != fmt.Sprint(errBatch) {
 			t.Fatalf("error divergence: reference %v, batch %v", errRef, errBatch)
 		}
 		if errRef != nil {
@@ -122,9 +135,39 @@ func FuzzBatchVsReference(f *testing.F) {
 	})
 }
 
-// TestBatchVsReferenceSeeds runs the fuzz seed corpus as a plain test so the
-// differential contract is exercised on every `go test`, not only under
-// -fuzz.
+// launchVsReference launches k cold and then warm on twin GPUs, with heat
+// profiling on or off, and fails on any difference from the reference
+// executor: the error text, the Result, or the heat records.
+func launchVsReference(t *testing.T, name string, k Kernel, heat bool) {
+	t.Helper()
+	ref, batch := twinGPUs()
+	var refHeat, batchHeat *heatmap.Accumulator
+	if heat {
+		refHeat, batchHeat = heatmap.New(4<<20, 4096), heatmap.New(4<<20, 4096)
+		ref.SetHeat(refHeat)
+		batch.SetHeat(batchHeat)
+	}
+	for pass := 0; pass < 2; pass++ {
+		want, errRef := ref.Launch(k)
+		got, errBatch := batch.Launch(k)
+		if fmt.Sprint(errRef) != fmt.Sprint(errBatch) {
+			t.Fatalf("%s (heat %v, pass %d): error divergence:\nreference: %v\nbatch:     %v", name, heat, pass, errRef, errBatch)
+		}
+		if errRef != nil {
+			return
+		}
+		if got != want {
+			t.Fatalf("%s (heat %v, pass %d): result divergence:\nreference: %+v\nbatch:     %+v", name, heat, pass, want, got)
+		}
+	}
+	if heat && (refHeat.Clock() == 0 || !reflect.DeepEqual(refHeat, batchHeat)) {
+		t.Fatalf("%s: heat records diverge from the reference (clocks %d vs %d)", name, refHeat.Clock(), batchHeat.Clock())
+	}
+}
+
+// TestBatchVsReferenceSeeds runs the fuzz seed corpus as a plain test, heat
+// off and on, so the differential contract is exercised on every `go test`,
+// not only under -fuzz.
 func TestBatchVsReferenceSeeds(t *testing.T) {
 	seeds := []struct {
 		data    []byte
@@ -137,17 +180,73 @@ func TestBatchVsReferenceSeeds(t *testing.T) {
 		{[]byte{1, 5, 0, 0}, 1},
 	}
 	for i, s := range seeds {
-		ref, batch := twinGPUs()
-		k := fuzzKernel(s.data, s.threads)
-		want, errRef := ref.Launch(k)
-		got, errBatch := batch.Launch(k)
-		if (errRef == nil) != (errBatch == nil) {
-			t.Fatalf("seed %d: error divergence: %v vs %v", i, errRef, errBatch)
-		}
-		if got != want {
-			t.Fatalf("seed %d: result divergence:\nreference: %+v\nbatch:     %+v", i, want, got)
+		for _, heat := range []bool{false, true} {
+			launchVsReference(t, fmt.Sprintf("seed %d", i), fuzzKernel(s.data, s.threads), heat)
 		}
 	}
+	for _, s := range warpSeeds {
+		k := fuzzKernel(s.data, int(s.nthreads)%128+1)
+		if !s.shape(k) {
+			t.Fatalf("%s: the kernel lost the lane shapes the case needs", s.name)
+		}
+		_, batch := twinGPUs()
+		_, err := batch.Launch(k)
+		if (err != nil) != s.invalid {
+			t.Fatalf("%s: Launch error %v, want an error: %v", s.name, err, s.invalid)
+		}
+		for _, heat := range []bool{false, true} {
+			launchVsReference(t, s.name, k, heat)
+		}
+	}
+}
+
+// lanesOf emits thread tid's program runs.
+func lanesOf(k Kernel, tid int) []isa.Run {
+	var p isa.Program
+	k.Program(tid, &p)
+	return p.Runs()
+}
+
+// warpSeeds are fuzz inputs that pin the compiler's warp-at-a-time walk: 128
+// threads on two SMs put warps 0 and 2 in one resident batch, and warp 2 is
+// compiled after warp 0's memory events were captured. shape checks that
+// warp 0 walks in lockstep and warp 2 has the lane shapes the case needs.
+var warpSeeds = []struct {
+	name     string
+	data     []byte
+	nthreads uint8 // fuzz encoding: threads = nthreads%128 + 1
+	invalid  bool
+	shape    func(k Kernel) bool
+}{
+	{
+		// Two masked slots in a row only past warp 0: warp 2's odd lanes
+		// hold one two-slot Nop run where even lanes hold two loads, so
+		// the warp converges but does not walk in lockstep.
+		name: "later warp converges out of lockstep",
+		data: []byte{1, 0, 8, 3, 0xF3, 8, 4, 15, 0xF3, 9, 4, 15, 0, 0, 2, 0, 1, 2, 8, 7}, nthreads: 127,
+		shape: func(k Kernel) bool {
+			return sameShape(lanesOf(k, 0), lanesOf(k, 1)) &&
+				len(lanesOf(k, 64)) != len(lanesOf(k, 65))
+		},
+	},
+	{
+		// A load slot that odd lanes past warp 0 store instead: warp 2's
+		// lanes share lane 0's run shape but not its ops.
+		name: "later warp has lockstep shape but conflicting ops", invalid: true,
+		data: []byte{1, 0, 8, 3, 0, 0, 2, 0, 0xF1, 0, 8, 3}, nthreads: 127,
+		shape: func(k Kernel) bool {
+			a, b := lanesOf(k, 64), lanesOf(k, 65)
+			if len(a) != len(b) {
+				return false
+			}
+			for i := range a {
+				if a[i].Count != b[i].Count {
+					return false
+				}
+			}
+			return sameShape(lanesOf(k, 0), lanesOf(k, 1)) && !sameShape(a, b)
+		},
+	},
 }
 
 // boundarySeeds are fuzz inputs whose compiled streams reach the replay's
@@ -190,39 +289,59 @@ var boundarySeeds = []struct {
 func TestReplayBoundariesVsReference(t *testing.T) {
 	for _, s := range boundarySeeds {
 		k := fuzzKernel(s.data, int(s.nthreads)%128+1)
-		for _, heat := range []bool{false, true} {
-			ref, batch := twinGPUs()
-			ck, err := batch.Compile(k)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !s.shape(ck) {
-				t.Fatalf("%s: compiled stream (%d transactions, %d runs, SM ends %v) lost the shape the case needs",
-					s.name, len(ck.addrs), len(ck.runs), ck.smTxnEnd)
-			}
-			var refHeat, batchHeat *heatmap.Accumulator
-			if heat {
-				refHeat, batchHeat = heatmap.New(4<<20, 4096), heatmap.New(4<<20, 4096)
-				ref.SetHeat(refHeat)
-				batch.SetHeat(batchHeat)
-			}
-			for pass := 0; pass < 2; pass++ {
-				want, err := ref.Launch(k)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := batch.Launch(k)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got != want {
-					t.Fatalf("%s (heat %v, pass %d): result divergence:\nreference: %+v\nbatch:     %+v", s.name, heat, pass, want, got)
-				}
-			}
-			if heat && (refHeat.Clock() == 0 || !reflect.DeepEqual(refHeat, batchHeat)) {
-				t.Fatalf("%s: heat records diverge from the reference (clocks %d vs %d)", s.name, refHeat.Clock(), batchHeat.Clock())
-			}
+		_, batch := twinGPUs()
+		ck, err := batch.Compile(k)
+		if err != nil {
+			t.Fatal(err)
 		}
+		if !s.shape(ck) {
+			t.Fatalf("%s: compiled stream (%d transactions, %d runs, SM ends %v) lost the shape the case needs",
+				s.name, len(ck.addrs), len(ck.runs), ck.smTxnEnd)
+		}
+		for _, heat := range []bool{false, true} {
+			launchVsReference(t, s.name, k, heat)
+		}
+	}
+}
+
+// TestCompileHoldsOneWarpOfLaneScratch pins the compiler's memory
+// footprint: a kernel with more warps than the GPU holds resident at once
+// compiles through one warp of lane programs, leaving the reference
+// executor's batch-sized buffers unallocated, and still matches the
+// reference executor.
+func TestCompileHoldsOneWarpOfLaneScratch(t *testing.T) {
+	ref, batch := twinGPUs()
+	ws := batch.cfg.WarpSize
+	threads := (len(batch.sms)*batch.resident() + 3) * ws
+	k := Kernel{Name: "wide", Threads: threads, Program: func(tid int, p *isa.Program) {
+		p.Compute(isa.FMA, 2)
+		p.Ld(int64(tid)*8, 8)
+		if tid%3 == 0 {
+			p.PadTo(p.Len() + 1)
+		} else {
+			p.St(pinnedBase+int64(tid%1024)*8, 8)
+		}
+	}}
+	if _, err := batch.Compile(k); err != nil {
+		t.Fatal(err)
+	}
+	if len(batch.laneProgs) != ws || batch.refProgs != nil {
+		t.Fatalf("compile lane scratch: %d programs (reference buffers %d), want %d and none",
+			len(batch.laneProgs), len(batch.refProgs), ws)
+	}
+	want, err := ref.Launch(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := batch.Launch(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Fatalf("result divergence:\nreference: %+v\nbatch:     %+v", want, got)
+	}
+	if len(batch.laneProgs) != ws {
+		t.Fatalf("compile lane scratch grew to %d programs after Launch, want %d", len(batch.laneProgs), ws)
 	}
 }
 

@@ -142,7 +142,8 @@ type GPU struct {
 	// they were compiled against changes.
 	pinnedEpoch uint64
 
-	laneProgs []isa.Program // reusable per-lane buffers
+	laneProgs []isa.Program // compile lane scratch: one warp, reused warp by warp
+	refProgs  []isa.Program // reference executor lane buffers: a resident batch
 	laneIn    [][]isa.Instr // materialized lane views (reference executor)
 
 	compileScratch CompiledKernel // reused by Launch's compile-and-replay

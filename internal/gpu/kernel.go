@@ -249,8 +249,8 @@ type batch struct {
 
 func (g *GPU) ensureLaneBuffers(resident int) {
 	need := resident * g.cfg.WarpSize
-	if len(g.laneProgs) < need {
-		g.laneProgs = make([]isa.Program, need)
+	if len(g.refProgs) < need {
+		g.refProgs = make([]isa.Program, need)
 	}
 	if len(g.laneIn) < need {
 		g.laneIn = make([][]isa.Instr, need)
@@ -269,7 +269,7 @@ func (g *GPU) runBatch(k Kernel, s *sm, b *batch, res *Result) error {
 		}
 		b.lanes = append(b.lanes, lanes)
 		for l := 0; l < lanes; l++ {
-			p := &g.laneProgs[bi*ws+l]
+			p := &g.refProgs[bi*ws+l]
 			p.Reset()
 			k.Program(w*ws+l, p)
 			g.laneIn[bi*ws+l] = p.Instrs()
