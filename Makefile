@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race fmt vet lint lint-sarif lint-baseline lint-docs docs-links bench-module hazardcheck cover fuzz bench perfgate perf-smoke baseline layerbench trace chaos fleet dst ci
+.PHONY: all build test race fmt vet lint lint-sarif lint-baseline bench-module hazardcheck cover fuzz bench perfgate perf-smoke baseline layerbench trace chaos fleet dst ci
 
 all: build
 
@@ -25,9 +25,10 @@ fmt:
 vet:
 	$(GO) vet ./...
 
-# The repo's own Go-source gate: go vet plus the igpulint type-aware
-# analyzer suite (internal/analysis), checked against lint/baseline.json.
-# Drift fails in both directions — new findings and stale baseline entries.
+# The repo's lint gate: go vet plus the igpulint analyzer suite
+# (internal/analysis) — source rules and the documentation rules
+# (exporteddoc, mdlink) alike — checked against lint/baseline.json. Drift
+# fails in both directions — new findings and stale baseline entries.
 lint:
 	$(GO) vet ./...
 	$(GO) run ./cmd/igpulint ./...
@@ -41,17 +42,6 @@ lint-sarif:
 # justifies or fixes it.
 lint-baseline:
 	$(GO) run ./cmd/igpulint -update-baseline
-
-# Fails on exported identifiers without doc comments in the contract
-# packages (internal/engine, internal/perfmodel, internal/telemetry,
-# internal/perfbench).
-lint-docs:
-	$(GO) run ./cmd/hazardcheck -lint-docs
-
-# Fails on relative markdown links that do not resolve, across
-# README/DESIGN/EXPERIMENTS/ROADMAP and docs/.
-docs-links:
-	$(GO) run ./cmd/hazardcheck -links
 
 # The benchmark module: layerbench is a nested module, so the root
 # `go test ./...` skips it; vet and test it on its own.
@@ -147,4 +137,4 @@ DST_ARTIFACT ?= dst-repro.json
 dst:
 	DST_ARTIFACT=$(DST_ARTIFACT) $(GO) test -race -count=1 ./internal/dst -dst.seeds=$(DST_SEEDS)
 
-ci: fmt vet lint lint-docs docs-links build bench-module race cover fuzz hazardcheck trace chaos fleet dst perf-smoke
+ci: fmt vet lint build bench-module race cover fuzz hazardcheck trace chaos fleet dst perf-smoke

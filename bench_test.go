@@ -13,6 +13,7 @@ import (
 	"sync"
 	"testing"
 
+	"igpucomm/internal/apps/catalog"
 	"igpucomm/internal/comm"
 	"igpucomm/internal/cpu"
 	"igpucomm/internal/devices"
@@ -217,7 +218,7 @@ func BenchmarkAblationCopyBandwidth(b *testing.B) {
 			}
 			cfg.Name = cfg.Name + "-copybw"
 			cfg.CopyBandwidth = bw
-			w, err := experiments.SHWFSWorkloadForAblation()
+			w, err := catalog.ByName("shwfs", catalog.Full)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -279,7 +280,7 @@ func BenchmarkAblationUMPageSize(b *testing.B) {
 			}
 			cfg.Name = cfg.Name + "-umpage"
 			cfg.PageSize = page
-			w, err := experiments.SHWFSWorkloadForAblation()
+			w, err := catalog.ByName("shwfs", catalog.Full)
 			if err != nil {
 				b.Fatal(err)
 			}

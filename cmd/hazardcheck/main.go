@@ -5,23 +5,16 @@
 // disjointness and barrier ordering under a vector-clock model), and a
 // transaction-level replay of the kernel's coalesced trace interleaved with
 // the CPU's accesses and the model's coherence protocol (RAW/WAR/WAW and
-// flush-ordering hazards).
-//
-// With -lint-docs it checks that every exported identifier in the contract
-// packages (DocPackages) carries a doc comment; with -links it checks that
-// every relative markdown link (and #anchor) in
-// README/DESIGN/EXPERIMENTS/ROADMAP and docs/ resolves. The Go-source
-// analysis gate is cmd/igpulint.
+// flush-ordering hazards). Source and documentation lints live in
+// cmd/igpulint.
 //
 // Usage:
 //
 //	hazardcheck                            # verify all combinations
 //	hazardcheck -device jetson-tx2 -app shwfs -model zc
 //	hazardcheck -no-trace                  # schedule + layout proofs only
-//	hazardcheck -lint-docs                 # exported-doc-comment gate
-//	hazardcheck -links                     # markdown relative-link gate
 //
-// Exit status 1 when any hazard or lint finding is reported.
+// Exit status 1 when any hazard is reported.
 package main
 
 import (
@@ -29,34 +22,14 @@ import (
 	"fmt"
 	"igpucomm/internal/buildinfo"
 	"os"
-	"path/filepath"
 	"strings"
 
-	"igpucomm/internal/analysis"
-	"igpucomm/internal/apps/lanedet"
-	"igpucomm/internal/apps/orbslam"
-	"igpucomm/internal/apps/shwfs"
+	"igpucomm/internal/apps/catalog"
 	"igpucomm/internal/comm"
 	"igpucomm/internal/devices"
 )
 
-var appNames = []string{"shwfs", "orbslam", "lanedet"}
-
-func buildWorkload(app string) (comm.Workload, error) {
-	switch app {
-	case "shwfs":
-		return shwfs.Workload(shwfs.DefaultWorkloadParams())
-	case "orbslam":
-		return orbslam.Workload(orbslam.DefaultWorkloadParams())
-	case "lanedet":
-		return lanedet.Workload(lanedet.DefaultWorkloadParams())
-	}
-	return comm.Workload{}, fmt.Errorf("unknown app %q (have %s)", app, strings.Join(appNames, ", "))
-}
-
 func main() {
-	lintDocs := flag.Bool("lint-docs", false, "check exported identifiers in the contract packages for doc comments")
-	links := flag.Bool("links", false, "check relative markdown links in the documentation set")
 	device := flag.String("device", "", "restrict to one platform (default: all)")
 	app := flag.String("app", "", "restrict to one application (default: all)")
 	model := flag.String("model", "", "restrict to one communication model (default: all)")
@@ -70,40 +43,7 @@ func main() {
 		return
 	}
 
-	if *lintDocs || *links {
-		os.Exit(runDocGates(*lintDocs, *links))
-	}
 	os.Exit(runVerify(*device, *app, *model, !*noTrace, *verbose))
-}
-
-// runDocGates runs the documentation gates from the module root: exported
-// doc comments in the contract packages and/or markdown link resolution.
-func runDocGates(docs, links bool) int {
-	cwd, err := os.Getwd()
-	fatalIf(err)
-	root := moduleRoot(cwd)
-	var findings []analysis.Finding
-	if docs {
-		fs, err := analysis.LintExportedDocs(root, analysis.DocPackages())
-		fatalIf(err)
-		findings = append(findings, fs...)
-	}
-	if links {
-		files, err := analysis.MarkdownFiles(root)
-		fatalIf(err)
-		fs, err := analysis.CheckMarkdownLinks(root, files)
-		fatalIf(err)
-		findings = append(findings, fs...)
-	}
-	for _, f := range findings {
-		fmt.Println(f)
-	}
-	if n := len(findings); n > 0 {
-		fmt.Fprintf(os.Stderr, "hazardcheck: %d documentation finding(s)\n", n)
-		return 1
-	}
-	fmt.Println("hazardcheck: documentation gates clean")
-	return 0
 }
 
 func runVerify(device, app, model string, trace, verbose bool) int {
@@ -117,7 +57,7 @@ func runVerify(device, app, model string, trace, verbose bool) int {
 	if len(devs) == 0 {
 		fatalIf(fmt.Errorf("unknown device %q (have %s)", device, strings.Join(all, ", ")))
 	}
-	apps := appNames
+	apps := catalog.Names()
 	if app != "" {
 		apps = []string{app}
 	}
@@ -131,7 +71,7 @@ func runVerify(device, app, model string, trace, verbose bool) int {
 	combos, bad := 0, 0
 	for _, devName := range devs {
 		for _, appName := range apps {
-			w, err := buildWorkload(appName)
+			w, err := catalog.ByName(appName, catalog.Full)
 			fatalIf(err)
 			for _, m := range models {
 				s, err := devices.NewSoC(devName)
@@ -167,21 +107,6 @@ func runVerify(device, app, model string, trace, verbose bool) int {
 	}
 	fmt.Printf("hazardcheck: all %d combinations verified\n", combos)
 	return 0
-}
-
-// moduleRoot walks up from dir to the nearest directory containing go.mod.
-// If none is found (linting a bare tree), dir itself is the root.
-func moduleRoot(dir string) string {
-	for d := dir; ; {
-		if _, err := os.Stat(filepath.Join(d, "go.mod")); err == nil {
-			return d
-		}
-		parent := filepath.Dir(d)
-		if parent == d {
-			return dir
-		}
-		d = parent
-	}
 }
 
 func fatalIf(err error) {

@@ -1,10 +1,10 @@
-// Command igpulint is the repo's type-aware static-analysis gate: it loads
-// and type-checks the whole module with go/parser + go/types (stdlib only),
-// runs every registered analyzer — the three original syntactic rules
-// (rawaddr, unitsmix, validatewrap) plus the subsystem-contract rules added
-// with the framework (ctxflow, spanend, faultpoint, lockdiscipline,
-// allochot, metricname) — and compares the findings against the committed
-// baseline (lint/baseline.json by default).
+// Command igpulint is the repo's one lint driver: it loads and type-checks
+// the whole module with go/parser + go/types (stdlib only), runs every
+// registered analyzer — the source rules (rawaddr, unitsmix, validatewrap),
+// the subsystem-contract rules (ctxflow, spanend, faultpoint,
+// lockdiscipline, allochot, metricname, timesource) and the documentation
+// rules (exporteddoc, mdlink) — and compares the findings against the
+// committed baseline (lint/baseline.json by default).
 //
 // Drift fails in both directions: a finding absent from the baseline is a
 // regression, and a baseline entry no finding matches is a fixed violation
@@ -19,6 +19,7 @@
 //	igpulint -format sarif ./...        # SARIF 2.1.0 (CI artifact upload)
 //	igpulint -format json ./...
 //	igpulint -rules ctxflow,spanend ./...
+//	igpulint -rules exporteddoc,mdlink ./...  # the documentation rules only
 //	igpulint -baseline lint/baseline.json ./...
 //	igpulint -update-baseline           # rewrite the baseline from current findings
 //	igpulint -list                      # print the analyzer catalog

@@ -16,9 +16,7 @@ import (
 	"igpucomm/internal/buildinfo"
 	"os"
 
-	"igpucomm/internal/apps/lanedet"
-	"igpucomm/internal/apps/orbslam"
-	"igpucomm/internal/apps/shwfs"
+	"igpucomm/internal/apps/catalog"
 	"igpucomm/internal/comm"
 	"igpucomm/internal/devices"
 	"igpucomm/internal/mmu"
@@ -38,20 +36,7 @@ func main() {
 		return
 	}
 
-	var (
-		w   comm.Workload
-		err error
-	)
-	switch *app {
-	case "shwfs":
-		w, err = shwfs.Workload(shwfs.DefaultWorkloadParams())
-	case "orbslam":
-		w, err = orbslam.Workload(orbslam.DefaultWorkloadParams())
-	case "lanedet":
-		w, err = lanedet.Workload(lanedet.DefaultWorkloadParams())
-	default:
-		err = fmt.Errorf("unknown app %q", *app)
-	}
+	w, err := catalog.ByName(*app, catalog.Full)
 	fatalIf(err)
 	if *launch < 0 || *launch >= w.LaunchCount() {
 		fatalIf(fmt.Errorf("launch %d out of range [0, %d)", *launch, w.LaunchCount()))

@@ -4,7 +4,7 @@
 // module is loaded and type-checked as a whole (LoadModule), then every
 // registered Analyzer runs over each package (RunAnalyzers); type-check
 // failures surface as "typecheck" pseudo-findings rather than aborting the
-// run. Ten rules (see DESIGN.md §13 for the full catalog):
+// run. Twelve rules (see DESIGN.md §13 for the full catalog):
 //
 //   - rawaddr: no arithmetic directly on a buffer's .Addr field outside
 //     the memory-system packages — everything else indexes through Layout
@@ -48,36 +48,28 @@
 //     deterministic simulation harness (TimePackages); time flows only
 //     through the threaded Clock.
 //
+//   - exporteddoc: exported identifiers in the contract packages
+//     (DocPackages) carry doc comments (docs.go).
+//
+//   - mdlink: relative links (including #anchors) in the markdown
+//     documentation set — README/DESIGN/EXPERIMENTS/ROADMAP and docs/ —
+//     resolve (docs.go).
+//
 // Findings can be suppressed inline with
 // `//igpulint:ignore <rule> <justification>` (the justification is
 // mandatory; unused or bare directives are themselves findings) or
 // accepted into a committed baseline (baseline.go) that cmd/igpulint
 // ratchets in both directions — new findings and stale entries both fail.
 //
-// Two documentation rules ride alongside (docs.go), run by `hazardcheck
-// -lint-docs` and `hazardcheck -links`:
-//
-//   - exporteddoc: exported identifiers in the contract packages
-//     (DocPackages) must carry doc comments.
-//
-//   - mdlink: relative links (including #anchors) in the markdown
-//     documentation set (MarkdownFiles) must resolve.
-//
 // The gate runs as `go run ./cmd/igpulint ./...` (make lint) and in CI's
 // lint job, with the baseline comparison. The analyzers are themselves tested
 // against a golden fixture corpus under testdata/corpus (corpus_test.go).
-// Lint below is the legacy syntactic entry point, kept for callers that
-// need a parse-only pass without type information.
 package analysis
 
 import (
 	"fmt"
 	"go/ast"
-	"go/parser"
 	"go/token"
-	"io/fs"
-	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -85,7 +77,7 @@ import (
 // Finding is one rule violation at a source position.
 type Finding struct {
 	Pos  token.Position
-	Rule string // an analyzer name (AnalyzerNames), "typecheck", "exporteddoc", "mdlink" or "igpulint"
+	Rule string // an analyzer name (AnalyzerNames), "typecheck" or "igpulint"
 	Msg  string
 }
 
@@ -125,6 +117,12 @@ type Config struct {
 	// the threaded Clock.
 	TimePackages []string
 
+	// DocPackages lists the directories (exact matches, not prefixes)
+	// whose exported identifiers must carry doc comments (the exporteddoc
+	// rule): the packages other layers program against, where an
+	// undocumented identifier is an API without a contract.
+	DocPackages []string
+
 	// MetricPrefix is the required Prometheus metric-name prefix.
 	MetricPrefix string
 
@@ -137,8 +135,9 @@ type Config struct {
 // only in the memory system and substrate simulators (the packages that ARE
 // the address space); context threading in the engine/framework/microbench/
 // profile/comm stack; no manufactured root contexts anywhere under
-// internal/; lock-scope discipline in the concurrent service packages; the
-// igpucomm_ Prometheus namespace.
+// internal/; lock-scope discipline in the concurrent service packages; doc
+// comments on the contract packages' exported surface; the igpucomm_
+// Prometheus namespace.
 func DefaultConfig() Config {
 	return Config{
 		RawAddrAllowed: []string{
@@ -179,6 +178,17 @@ func DefaultConfig() Config {
 			"internal/advisord",
 			"internal/fleet",
 		},
+		DocPackages: []string{
+			"internal/advisord",
+			"internal/advisord/client",
+			"internal/chaos",
+			"internal/engine",
+			"internal/faults",
+			"internal/fleet",
+			"internal/perfbench",
+			"internal/perfmodel",
+			"internal/telemetry",
+		},
 		MetricPrefix: "igpucomm_",
 		MetricUnits: []string{
 			"total", "seconds", "bytes", "ratio", "info", "state",
@@ -188,79 +198,8 @@ func DefaultConfig() Config {
 	}
 }
 
-// Lint walks root for non-test .go files (skipping .git, vendor and
-// testdata) and applies the three rules. Findings come back sorted by
-// position.
-func Lint(root string, cfg Config) ([]Finding, error) {
-	var files []string
-	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			switch d.Name() {
-			case ".git", "vendor", "testdata":
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if strings.HasSuffix(path, ".go") && !strings.HasSuffix(path, "_test.go") {
-			files = append(files, path)
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	sort.Strings(files)
-
-	fset := token.NewFileSet()
-	var out []Finding
-	for _, path := range files {
-		f, err := parser.ParseFile(fset, path, nil, 0)
-		if err != nil {
-			return nil, fmt.Errorf("analysis: %w", err)
-		}
-		rel, err := filepath.Rel(root, filepath.Dir(path))
-		if err != nil {
-			return nil, fmt.Errorf("analysis: %w", err)
-		}
-		dir := filepath.ToSlash(rel)
-		out = append(out, lintFile(fset, f, dir, cfg)...)
-	}
-	sortFindings(out)
-	return out, nil
-}
-
-func lintFile(fset *token.FileSet, f *ast.File, dir string, cfg Config) []Finding {
-	var out []Finding
-	rawAllowed := false
-	for _, p := range cfg.RawAddrAllowed {
-		if dir == p || strings.HasPrefix(dir, p+"/") {
-			rawAllowed = true
-			break
-		}
-	}
-
-	ast.Inspect(f, func(n ast.Node) bool {
-		switch node := n.(type) {
-		case *ast.BinaryExpr:
-			if !rawAllowed {
-				out = append(out, checkRawAddr(fset, node)...)
-			}
-			out = append(out, checkUnitsMix(fset, node)...)
-		case *ast.FuncDecl:
-			if node.Name.Name == "Validate" && node.Recv != nil {
-				out = append(out, checkValidateWrap(fset, node, f.Name.Name)...)
-			}
-		}
-		return true
-	})
-	return out
-}
-
-// rawAddrAnalyzer adapts the syntactic rawaddr rule to the analyzer
-// framework: raw .Addr arithmetic is allowed only in the memory system.
+// rawAddrAnalyzer is the rawaddr rule: raw .Addr arithmetic is allowed only
+// in the memory system.
 func rawAddrAnalyzer() *Analyzer {
 	return &Analyzer{
 		Name: "rawaddr",
@@ -283,8 +222,8 @@ func rawAddrAnalyzer() *Analyzer {
 	}
 }
 
-// validateWrapAnalyzer adapts the syntactic validatewrap rule: every error
-// built inside an exported Validate method must carry the package prefix.
+// validateWrapAnalyzer is the validatewrap rule: every error built inside an
+// exported Validate method must carry the package prefix.
 func validateWrapAnalyzer() *Analyzer {
 	return &Analyzer{
 		Name: "validatewrap",
@@ -332,61 +271,6 @@ func checkRawAddr(fset *token.FileSet, b *ast.BinaryExpr) []Finding {
 		})
 	}
 	return out
-}
-
-// --- rule: unitsmix ---
-
-// unitClass classifies an expression by the unit its name advertises:
-// "latency" for durations, "bytes" for sizes and counts of bytes, "" when
-// the name says nothing either way.
-func unitClass(e ast.Expr) string {
-	var name string
-	switch v := e.(type) {
-	case *ast.Ident:
-		name = v.Name
-	case *ast.SelectorExpr:
-		name = v.Sel.Name
-	case *ast.CallExpr:
-		if sel, ok := v.Fun.(*ast.SelectorExpr); ok {
-			name = sel.Sel.Name
-		}
-	case *ast.ParenExpr:
-		return unitClass(v.X)
-	default:
-		return ""
-	}
-	lower := strings.ToLower(name)
-	latency := strings.Contains(lower, "latency") ||
-		strings.Contains(lower, "elapsed") ||
-		strings.HasSuffix(lower, "time")
-	bytes := strings.Contains(lower, "bytes") || strings.HasSuffix(lower, "size")
-	if latency == bytes { // neither, or a name claiming both
-		return ""
-	}
-	if latency {
-		return "latency"
-	}
-	return "bytes"
-}
-
-// checkUnitsMix flags x+y / x-y where one side is latency-named and the
-// other bytes-named: a units error regardless of the Go types. Conversion
-// between the two domains must go through a rate (division), which the rule
-// deliberately leaves alone.
-func checkUnitsMix(fset *token.FileSet, b *ast.BinaryExpr) []Finding {
-	if b.Op != token.ADD && b.Op != token.SUB {
-		return nil
-	}
-	cx, cy := unitClass(b.X), unitClass(b.Y)
-	if cx == "" || cy == "" || cx == cy {
-		return nil
-	}
-	return []Finding{{
-		Pos:  fset.Position(b.Pos()),
-		Rule: "unitsmix",
-		Msg: fmt.Sprintf("adding %s to %s; convert through an explicit rate instead",
-			cx, cy),
-	}}
 }
 
 // --- rule: validatewrap ---

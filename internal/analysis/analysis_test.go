@@ -2,27 +2,62 @@ package analysis
 
 import (
 	"os"
+	"path"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
-// lintSource writes src as a single file in a temp tree under dir and lints
-// the tree with the default config.
+// lintSource writes src as a single file under dir in a temp module and
+// runs the rawaddr, unitsmix and validatewrap analyzers over it.
 func lintSource(t *testing.T, dir, src string) []Finding {
 	t.Helper()
-	root := t.TempDir()
-	full := filepath.Join(root, filepath.FromSlash(dir))
-	if err := os.MkdirAll(full, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(full, "x.go"), []byte(src), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Lint(root, DefaultConfig())
+	return lintTree(t, map[string]string{path.Join(dir, "x.go"): src})
+}
+
+// lintTree writes files (module-relative path -> content) into a temp module
+// and runs the rawaddr, unitsmix and validatewrap analyzers over it with the
+// default config. The module-wide rules (faultpoint wants a fault catalog)
+// are left out: these fixtures pin the three expression-level rules.
+func lintTree(t *testing.T, files map[string]string) []Finding {
+	t.Helper()
+	return runOn(t, writeModule(t, files),
+		[]*Analyzer{rawAddrAnalyzer(), unitsMixAnalyzer(), validateWrapAnalyzer()})
+}
+
+// runOn loads the module at root and applies the analyzers with the default
+// config, failing the test on type errors.
+func runOn(t *testing.T, root string, analyzers []*Analyzer) []Finding {
+	t.Helper()
+	m, err := LoadModule(root)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return got
+	for _, p := range m.Packages {
+		for _, terr := range p.TypeErrors {
+			t.Fatalf("fixture %s: type error: %v", p.Dir, terr)
+		}
+	}
+	cfg := DefaultConfig()
+	return RunAnalyzers(m, analyzers, &cfg)
+}
+
+// writeModule writes files (module-relative path -> content) under a fresh
+// temp root with a go.mod for module "fixture" and returns the root.
+func writeModule(t *testing.T, files map[string]string) string {
+	t.Helper()
+	root := t.TempDir()
+	files["go.mod"] = "module fixture\n\ngo 1.22\n"
+	for rel, content := range files {
+		full := filepath.Join(root, filepath.FromSlash(rel))
+		if err := os.MkdirAll(filepath.Dir(full), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(full, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return root
 }
 
 func kinds(fs []Finding) map[string]int {
@@ -115,38 +150,87 @@ func helper() error { return fmt.Errorf("anything goes outside Validate") }
 }
 
 func TestTestFilesSkipped(t *testing.T) {
-	root := t.TempDir()
-	dir := filepath.Join(root, "internal", "apps")
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	src := `package apps
+	got := lintTree(t, map[string]string{
+		"internal/apps/x_test.go": `package apps
 func f(b struct{ Addr int64 }) int64 { return b.Addr + 64 }
-`
-	if err := os.WriteFile(filepath.Join(dir, "x_test.go"), []byte(src), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Lint(root, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+`,
+	})
 	if len(got) != 0 {
 		t.Fatalf("test file linted: %v", got)
 	}
 }
 
-// TestRepositoryIsClean is the gate itself: the repo this analyzer ships in
-// must pass its own rules.
+// TestRuleSubsetLeavesOtherDirectivesAlone pins how an -rules subset treats
+// ignore directives: a directive for a rule that did not run is not
+// "unused", while one naming no known rule still is.
+func TestRuleSubsetLeavesOtherDirectivesAlone(t *testing.T) {
+	root := writeModule(t, map[string]string{
+		"internal/apps/demo/x.go": `package demo
+
+func f(b struct{ Addr int64 }) int64 {
+	//igpulint:ignore rawaddr fixture: justified raw arithmetic
+	return b.Addr + 64
+}
+
+func g() int {
+	//igpulint:ignore unitsmix fixture: nothing to suppress here
+	return 1
+}
+
+func h() int {
+	//igpulint:ignore rawadr fixture: misspelled rule
+	return 2
+}
+`,
+	})
+	unused := func(fs []Finding) map[string]bool {
+		out := map[string]bool{}
+		for _, f := range fs {
+			if f.Rule != "igpulint" || !strings.Contains(f.Msg, "suppresses nothing") {
+				t.Errorf("unexpected finding: %s", f)
+			}
+			out[f.Msg[strings.Index(f.Msg, `"`):]] = true
+		}
+		return out
+	}
+	only := unused(runOn(t, root, []*Analyzer{rawAddrAnalyzer()}))
+	if len(only) != 1 || !only[`"rawadr" suppresses nothing; remove it`] {
+		t.Errorf("rawaddr only: unused directives %v, want just the misspelled one", only)
+	}
+	both := unused(runOn(t, root, []*Analyzer{rawAddrAnalyzer(), unitsMixAnalyzer()}))
+	if len(both) != 2 || !both[`"unitsmix" suppresses nothing; remove it`] {
+		t.Errorf("rawaddr+unitsmix: unused directives %v, want unitsmix and the misspelled one", both)
+	}
+}
+
+// TestRepositoryIsClean is the gate itself, as igpulint runs it: the repo
+// this analyzer ships in must pass every rule — the source rules and the
+// documentation rules — against the committed baseline.
 func TestRepositoryIsClean(t *testing.T) {
 	root, err := filepath.Abs(filepath.Join("..", ".."))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Lint(root, DefaultConfig())
+	cfg := DefaultConfig()
+	got, err := RunRepo(root, &cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, f := range got {
+	baseline, err := LoadBaseline(filepath.Join(root, "lint", "baseline.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	drift := CompareBaseline(baseline, got)
+	for _, f := range drift.New {
 		t.Errorf("%s", f)
+	}
+	for _, e := range drift.Stale {
+		t.Errorf("%s: %s: stale baseline entry: %s", e.File, e.Rule, e.Msg)
+	}
+	for _, e := range drift.Unjustified {
+		t.Errorf("%s: %s: unjustified baseline entry: %s", e.File, e.Rule, e.Msg)
+	}
+	if !drift.Clean() {
+		t.Fatal("repository is not clean against lint/baseline.json")
 	}
 }

@@ -18,14 +18,17 @@ import (
 //	// want <rule> "<message substring>"
 //
 // comments on the finding's line (repeatable for multiple findings on one
-// line; block-comment form for lines that end in a line comment). The test
+// line; block-comment form for lines that end in a line comment). In the
+// fixture's markdown documentation set (README.md, docs/) the marker sits in
+// an HTML comment, <!-- want mdlink "..." -->, on the link's line. The test
 // fails on any finding without a marker and any marker without a finding.
 
 // wantRE captures the marker clause; pairRE splits it into (rule, substr)
-// expectations.
+// expectations; htmlCommentRE finds the comment a markdown marker lives in.
 var (
-	wantRE = regexp.MustCompile(`want((?:\s+[a-z]+\s+"[^"]*")+)`)
-	pairRE = regexp.MustCompile(`([a-z]+)\s+"([^"]*)"`)
+	wantRE        = regexp.MustCompile(`want((?:\s+[a-z]+\s+"[^"]*")+)`)
+	pairRE        = regexp.MustCompile(`([a-z]+)\s+"([^"]*)"`)
+	htmlCommentRE = regexp.MustCompile(`<!--(.*?)-->`)
 )
 
 // wantMarker is one expected finding parsed from a fixture comment.
@@ -35,13 +38,14 @@ type wantMarker struct {
 	used   bool
 }
 
-// loadWantMarkers scans every fixture .go file for want markers, keyed by
-// module-relative slash path and line.
+// loadWantMarkers scans every fixture .go and .md file for want markers,
+// keyed by module-relative slash path and line.
 func loadWantMarkers(t *testing.T, root string) map[string]map[int][]*wantMarker {
 	t.Helper()
 	out := map[string]map[int][]*wantMarker{}
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") {
+		md := strings.HasSuffix(path, ".md")
+		if err != nil || d.IsDir() || !(md || strings.HasSuffix(path, ".go")) {
 			return err
 		}
 		data, err := os.ReadFile(path)
@@ -54,6 +58,13 @@ func loadWantMarkers(t *testing.T, root string) map[string]map[int][]*wantMarker
 		}
 		rel = filepath.ToSlash(rel)
 		for i, line := range strings.Split(string(data), "\n") {
+			if md {
+				c := htmlCommentRE.FindStringSubmatch(line)
+				if c == nil {
+					continue
+				}
+				line = c[1]
+			}
 			m := wantRE.FindStringSubmatch(line)
 			if m == nil {
 				continue

@@ -3,63 +3,37 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
-	"go/parser"
 	"go/token"
 	"io/fs"
 	"net/url"
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
 	"unicode"
 )
 
-// DocPackages is the default set of directories LintExportedDocs enforces:
-// the packages whose exported surface other layers program against, so an
-// undocumented identifier there is an API without a contract.
-func DocPackages() []string {
-	return []string{
-		"internal/advisord",
-		"internal/advisord/client",
-		"internal/chaos",
-		"internal/engine",
-		"internal/faults",
-		"internal/fleet",
-		"internal/perfbench",
-		"internal/perfmodel",
-		"internal/telemetry",
-	}
-}
-
-// LintExportedDocs checks that every exported top-level identifier (func,
-// method, type, const, var) in the given directories (relative to root,
-// non-recursive) carries a doc comment. A doc comment on a grouped const/var
-// declaration covers every name in the group. Findings use the "exporteddoc"
-// rule.
-func LintExportedDocs(root string, dirs []string) ([]Finding, error) {
-	fset := token.NewFileSet()
-	var out []Finding
-	for _, dir := range dirs {
-		full := filepath.Join(root, filepath.FromSlash(dir))
-		entries, err := os.ReadDir(full)
-		if err != nil {
-			return nil, fmt.Errorf("analysis: %w", err)
-		}
-		for _, e := range entries {
-			name := e.Name()
-			if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
-				continue
+// exportedDocAnalyzer requires a doc comment on every exported top-level
+// identifier (func, method, type, const, var) of the contract packages
+// (Config.DocPackages, matched exactly, not as prefixes). A doc comment on a
+// grouped const/var declaration covers every name in the group.
+func exportedDocAnalyzer() *Analyzer {
+	return &Analyzer{
+		Name: "exporteddoc",
+		Doc:  "exported identifiers in the contract packages (DocPackages) carry doc comments",
+		Run: func(pass *Pass) []Finding {
+			if !slices.Contains(pass.Config.DocPackages, pass.Pkg.Dir) {
+				return nil
 			}
-			f, err := parser.ParseFile(fset, filepath.Join(full, name), nil, parser.ParseComments)
-			if err != nil {
-				return nil, fmt.Errorf("analysis: %w", err)
+			var out []Finding
+			for _, f := range pass.Pkg.Files {
+				out = append(out, lintFileDocs(pass.Fset, f)...)
 			}
-			out = append(out, lintFileDocs(fset, f)...)
-		}
+			return out
+		},
 	}
-	sortFindings(out)
-	return out, nil
 }
 
 // lintFileDocs applies the exporteddoc rule to one parsed file.
@@ -120,13 +94,30 @@ func lintFileDocs(fset *token.FileSet, f *ast.File) []Finding {
 // — this repo's docs do not use them.
 var mdLinkRE = regexp.MustCompile(`!?\[[^\]]*\]\(([^()\s]+)\)`)
 
-// CheckMarkdownLinks verifies that every relative link target in the given
-// markdown files (paths relative to root) resolves to an existing file or
-// directory, and that every #fragment — in-page or on a relative .md target —
-// names an actual heading's GitHub-style anchor in the linked file. Absolute
-// URLs (with a scheme) and mailto links are skipped. Findings use the
-// "mdlink" rule.
-func CheckMarkdownLinks(root string, files []string) ([]Finding, error) {
+// mdLinkAnalyzer verifies that every relative link target in the markdown
+// documentation set (markdownFiles) resolves to an existing file or
+// directory, and that every #fragment — in-page or on a relative .md target
+// — names an actual heading's GitHub-style anchor in the linked file.
+// Absolute URLs (with a scheme) and mailto links are skipped. A file that
+// cannot be read is itself a finding, so a broken tree is never clean.
+func mdLinkAnalyzer() *Analyzer {
+	return &Analyzer{
+		Name: "mdlink",
+		Doc:  "relative links and #anchors in README/DESIGN/EXPERIMENTS/ROADMAP and docs/ resolve",
+		RunModule: func(mp *ModulePass) []Finding {
+			root := mp.Module.Root
+			files, err := markdownFiles(root)
+			if err != nil {
+				return []Finding{{Pos: token.Position{Filename: root}, Rule: "mdlink", Msg: err.Error()}}
+			}
+			return checkMarkdownLinks(root, files)
+		},
+	}
+}
+
+// checkMarkdownLinks applies the mdlink rule to the given markdown files
+// (paths relative to root).
+func checkMarkdownLinks(root string, files []string) []Finding {
 	anchors := map[string]map[string]bool{} // file path -> heading slugs
 	anchorsOf := func(path string) (map[string]bool, error) {
 		if a, ok := anchors[path]; ok {
@@ -146,7 +137,8 @@ func CheckMarkdownLinks(root string, files []string) ([]Finding, error) {
 		full := filepath.Join(root, filepath.FromSlash(rel))
 		data, err := os.ReadFile(full)
 		if err != nil {
-			return nil, fmt.Errorf("analysis: %w", err)
+			out = append(out, Finding{Pos: token.Position{Filename: full}, Rule: "mdlink", Msg: err.Error()})
+			continue
 		}
 		lines := strings.Split(string(data), "\n")
 		inFence := false
@@ -194,7 +186,8 @@ func CheckMarkdownLinks(root string, files []string) ([]Finding, error) {
 				}
 				heads, err := anchorsOf(resolved)
 				if err != nil {
-					return nil, fmt.Errorf("analysis: %w", err)
+					flag("link %q: %v", target, err)
+					continue
 				}
 				if !heads[strings.ToLower(fragment)] {
 					flag("anchor %q does not match any heading in %s", "#"+fragment, filepath.Base(resolved))
@@ -202,8 +195,7 @@ func CheckMarkdownLinks(root string, files []string) ([]Finding, error) {
 			}
 		}
 	}
-	sortFindings(out)
-	return out, nil
+	return out
 }
 
 // headingAnchors extracts the GitHub-style anchor slug of every ATX heading
@@ -266,10 +258,10 @@ func skipLinkTarget(target string) bool {
 	return err == nil && u.Scheme != ""
 }
 
-// MarkdownFiles lists the documentation set the docs-links CI step checks:
-// the top-level README/DESIGN/EXPERIMENTS/ROADMAP plus everything under
-// docs/. Paths come back relative to root, sorted.
-func MarkdownFiles(root string) ([]string, error) {
+// markdownFiles lists the documentation set mdlink checks: the top-level
+// README/DESIGN/EXPERIMENTS/ROADMAP plus everything under docs/. Paths come
+// back relative to root, sorted.
+func markdownFiles(root string) ([]string, error) {
 	var files []string
 	for _, name := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", "ROADMAP.md"} {
 		if _, err := os.Stat(filepath.Join(root, name)); err == nil {
@@ -295,18 +287,4 @@ func MarkdownFiles(root string) ([]string, error) {
 	}
 	sort.Strings(files)
 	return files, nil
-}
-
-// sortFindings orders findings by position, the same order Lint uses.
-func sortFindings(out []Finding) {
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i].Pos, out[j].Pos
-		if a.Filename != b.Filename {
-			return a.Filename < b.Filename
-		}
-		if a.Line != b.Line {
-			return a.Line < b.Line
-		}
-		return a.Column < b.Column
-	})
 }

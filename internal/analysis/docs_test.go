@@ -1,30 +1,16 @@
 package analysis
 
-import (
-	"os"
-	"path/filepath"
-	"testing"
-)
+import "testing"
 
-// writeTree writes files (path -> content) under a fresh temp root and
-// returns the root.
-func writeTree(t *testing.T, files map[string]string) string {
+// lintDocs runs one documentation analyzer over a temp module holding
+// files, with the default config.
+func lintDocs(t *testing.T, a *Analyzer, files map[string]string) []Finding {
 	t.Helper()
-	root := t.TempDir()
-	for rel, content := range files {
-		full := filepath.Join(root, filepath.FromSlash(rel))
-		if err := os.MkdirAll(filepath.Dir(full), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(full, []byte(content), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return root
+	return runOn(t, writeModule(t, files), []*Analyzer{a})
 }
 
 func TestExportedDocFlagsUndocumented(t *testing.T) {
-	root := writeTree(t, map[string]string{
+	got := lintDocs(t, exportedDocAnalyzer(), map[string]string{
 		"internal/engine/x.go": `package engine
 
 // Documented has a doc comment.
@@ -39,10 +25,6 @@ const Limit = 3
 var Knob = 1
 `,
 	})
-	got, err := LintExportedDocs(root, []string{"internal/engine"})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if len(got) != 4 {
 		t.Fatalf("want 4 exporteddoc findings (Exposed, Thing, Limit, Knob), got %d: %v", len(got), got)
 	}
@@ -54,7 +36,7 @@ var Knob = 1
 }
 
 func TestExportedDocAcceptsDocumentedAndUnexported(t *testing.T) {
-	root := writeTree(t, map[string]string{
+	got := lintDocs(t, exportedDocAnalyzer(), map[string]string{
 		"internal/engine/x.go": `package engine
 
 // Do does.
@@ -77,17 +59,13 @@ func internalHelper() {}
 type hidden struct{}
 `,
 	})
-	got, err := LintExportedDocs(root, []string{"internal/engine"})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if len(got) != 0 {
 		t.Fatalf("documented/unexported code flagged: %v", got)
 	}
 }
 
 func TestExportedDocFlagsUndocumentedMethod(t *testing.T) {
-	root := writeTree(t, map[string]string{
+	got := lintDocs(t, exportedDocAnalyzer(), map[string]string{
 		"internal/engine/x.go": `package engine
 
 // Obj is a thing.
@@ -96,17 +74,13 @@ type Obj struct{}
 func (Obj) Act() {}
 `,
 	})
-	got, err := LintExportedDocs(root, []string{"internal/engine"})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if len(got) != 1 || got[0].Rule != "exporteddoc" {
 		t.Fatalf("want 1 method finding, got %v", got)
 	}
 }
 
 func TestExportedDocSkipsTestFiles(t *testing.T) {
-	root := writeTree(t, map[string]string{
+	got := lintDocs(t, exportedDocAnalyzer(), map[string]string{
 		"internal/engine/x_test.go": `package engine
 
 func TestHelperExported(t int) {}
@@ -114,50 +88,26 @@ func TestHelperExported(t int) {}
 		"internal/engine/x.go": `package engine
 `,
 	})
-	got, err := LintExportedDocs(root, []string{"internal/engine"})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if len(got) != 0 {
 		t.Fatalf("test file flagged: %v", got)
 	}
 }
 
-// TestDocPackagesStayClean holds the real repository to the exporteddoc
-// rule: the contract packages must stay fully documented. This is the test
-// behind `make lint-docs`.
-func TestDocPackagesStayClean(t *testing.T) {
-	root := repoRoot(t)
-	got, err := LintExportedDocs(root, DocPackages())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range got {
-		t.Errorf("%s", f)
-	}
-}
-
-// repoRoot walks up from the test's working directory to the go.mod.
-func repoRoot(t *testing.T) string {
-	t.Helper()
-	dir, err := os.Getwd()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for d := dir; ; {
-		if _, err := os.Stat(filepath.Join(d, "go.mod")); err == nil {
-			return d
-		}
-		parent := filepath.Dir(d)
-		if parent == d {
-			t.Fatalf("no go.mod above %s", dir)
-		}
-		d = parent
+// TestExportedDocScopedToDocPackages pins the rule's scope: DocPackages
+// entries match a package directory exactly, so neither an unlisted package
+// nor a subpackage of a listed one is checked.
+func TestExportedDocScopedToDocPackages(t *testing.T) {
+	got := lintDocs(t, exportedDocAnalyzer(), map[string]string{
+		"internal/apps/demo/x.go":  "package demo\n\nfunc Exposed() {}\n",
+		"internal/engine/sub/x.go": "package sub\n\nfunc Exposed() {}\n",
+	})
+	if len(got) != 0 {
+		t.Fatalf("packages outside DocPackages flagged: %v", got)
 	}
 }
 
 func TestMarkdownLinksResolve(t *testing.T) {
-	root := writeTree(t, map[string]string{
+	got := lintDocs(t, mdLinkAnalyzer(), map[string]string{
 		"README.md": `# Title
 
 ## Local
@@ -168,14 +118,6 @@ func TestMarkdownLinksResolve(t *testing.T) {
 `,
 		"docs/GOOD.md": "# Good\n\n## Section\n[up](../README.md)\n",
 	})
-	files, err := MarkdownFiles(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := CheckMarkdownLinks(root, files)
-	if err != nil {
-		t.Fatal(err)
-	}
 	if len(got) != 2 {
 		t.Fatalf("want 2 mdlink findings (MISSING.md, missing.png), got %d: %v", len(got), got)
 	}
@@ -191,7 +133,7 @@ func TestMarkdownLinksResolve(t *testing.T) {
 // files, with duplicate-heading and code-fence semantics as GitHub renders
 // them.
 func TestMarkdownAnchorsValidate(t *testing.T) {
-	root := writeTree(t, map[string]string{
+	got := lintDocs(t, mdLinkAnalyzer(), map[string]string{
 		"README.md": `# My Guide
 
 ## Install & Run
@@ -205,10 +147,6 @@ func TestMarkdownAnchorsValidate(t *testing.T) {
 		"docs/API.md":   "# The API\n\n```\n# not a heading, just a shell comment\n```\n",
 		"docs/data.txt": "plain\n",
 	})
-	got, err := CheckMarkdownLinks(root, []string{"README.md", "docs/API.md"})
-	if err != nil {
-		t.Fatal(err)
-	}
 	var msgs []string
 	for _, f := range got {
 		msgs = append(msgs, f.Msg)
@@ -249,7 +187,7 @@ func TestHeadingSlug(t *testing.T) {
 }
 
 func TestMarkdownFilesListsDocsTree(t *testing.T) {
-	root := writeTree(t, map[string]string{
+	root := writeModule(t, map[string]string{
 		"README.md":       "x",
 		"DESIGN.md":       "x",
 		"docs/A.md":       "x",
@@ -258,7 +196,7 @@ func TestMarkdownFilesListsDocsTree(t *testing.T) {
 		"SNIPPETS.md":     "x", // exemplar code, intentionally out of scope
 		"internal/REA.md": "x", // outside the documentation set
 	})
-	files, err := MarkdownFiles(root)
+	files, err := markdownFiles(root)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,25 +211,5 @@ func TestMarkdownFilesListsDocsTree(t *testing.T) {
 		if !want[f] {
 			t.Errorf("unexpected file %s", f)
 		}
-	}
-}
-
-// TestRepositoryLinksResolve is the docs-links CI step in test form: every
-// relative link in the real documentation set must resolve.
-func TestRepositoryLinksResolve(t *testing.T) {
-	root := repoRoot(t)
-	files, err := MarkdownFiles(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(files) == 0 {
-		t.Fatal("no markdown files found in repository")
-	}
-	got, err := CheckMarkdownLinks(root, files)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range got {
-		t.Errorf("%s", f)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"sort"
 	"strings"
 )
 
@@ -86,8 +87,8 @@ func inDirs(dir string, prefixes []string) bool {
 	return false
 }
 
-// Analyzers returns the full analyzer set in presentation order: the three
-// original syntactic rules plus the type-aware rules this framework added.
+// Analyzers returns the full analyzer set in presentation order: the
+// syntactic rules, the type-aware rules, then the documentation rules.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		rawAddrAnalyzer(),
@@ -100,6 +101,8 @@ func Analyzers() []*Analyzer {
 		allocHotAnalyzer(),
 		metricNameAnalyzer(),
 		timeSourceAnalyzer(),
+		exportedDocAnalyzer(),
+		mdLinkAnalyzer(),
 	}
 }
 
@@ -130,7 +133,7 @@ func RunAnalyzers(m *Module, analyzers []*Analyzer, cfg *Config) []Finding {
 		}
 	}
 	out = relativizeFindings(m.Root, out)
-	out = applySuppressions(m, out)
+	out = applySuppressions(m, analyzers, out)
 	sortFindings(out)
 	return out
 }
@@ -210,8 +213,18 @@ type suppression struct {
 
 // applySuppressions honors //igpulint:ignore directives and reports
 // malformed (no justification) or unused ones as "igpulint" findings, so
-// suppressions can never rot silently.
-func applySuppressions(m *Module, fs []Finding) []Finding {
+// suppressions can never rot silently. A directive for a known rule that is
+// not among the run's analyzers (an -rules subset) had nothing to suppress,
+// so it is not reported as unused.
+func applySuppressions(m *Module, analyzers []*Analyzer, fs []Finding) []Finding {
+	notRun := map[string]bool{}
+	for _, name := range AnalyzerNames() {
+		notRun[name] = true
+	}
+	for _, a := range analyzers {
+		delete(notRun, a.Name)
+	}
+
 	// file (module-relative) -> line -> suppressions on that line
 	byFile := map[string]map[int][]*suppression{}
 	var all []*suppression
@@ -258,7 +271,7 @@ func applySuppressions(m *Module, fs []Finding) []Finding {
 		case !s.hasWhy:
 			kept = append(kept, Finding{Pos: s.pos, Rule: "igpulint",
 				Msg: fmt.Sprintf("ignore directive for %q has no justification", s.rule)})
-		case !s.used:
+		case !s.used && !notRun[s.rule]:
 			kept = append(kept, Finding{Pos: s.pos, Rule: "igpulint",
 				Msg: fmt.Sprintf("ignore directive for %q suppresses nothing; remove it", s.rule)})
 		}
@@ -281,4 +294,18 @@ func matchSuppression(byFile map[string]map[int][]*suppression, f Finding) *supp
 		}
 	}
 	return nil
+}
+
+// sortFindings orders findings by position.
+func sortFindings(out []Finding) {
+	sort.Slice(out, func(i, j int) bool {
+		a, b := out[i].Pos, out[j].Pos
+		if a.Filename != b.Filename {
+			return a.Filename < b.Filename
+		}
+		if a.Line != b.Line {
+			return a.Line < b.Line
+		}
+		return a.Column < b.Column
+	})
 }

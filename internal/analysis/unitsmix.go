@@ -5,11 +5,11 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"strings"
 )
 
-// unitsMixAnalyzer is the type-aware unitsmix rule. The syntactic version
-// only saw names ("copyTime + dramBytes"); this one additionally tracks the
-// named quantity types of internal/units (Latency, Cycles, Hertz,
+// unitsMixAnalyzer is the type-aware unitsmix rule. Beyond names
+// ("copyTime + dramBytes") it tracks the named quantity types of internal/units (Latency, Cycles, Hertz,
 // BytesPerSecond) and time.Duration through conversions, so laundering a
 // latency through float64() no longer hides the mix. Adding or subtracting
 // two different unit classes is a units error no matter what the Go types
@@ -49,7 +49,7 @@ func unitsMixAnalyzer() *Analyzer {
 // unitClassOf classifies an expression's physical unit: first by its static
 // type (the units.* named quantities and time.Duration), then by unwrapping
 // numeric conversions that would otherwise launder the type, and finally by
-// the name heuristic the syntactic rule used.
+// the name heuristic (unitClass).
 func unitClassOf(pass *Pass, e ast.Expr) string {
 	e = ast.Unparen(e)
 
@@ -128,4 +128,38 @@ func hasPathSuffix(path, suffix string) bool {
 	return path == suffix || (len(path) > len(suffix) &&
 		path[len(path)-len(suffix)-1] == '/' &&
 		path[len(path)-len(suffix):] == suffix)
+}
+
+// unitClass is unitClassOf's fallback for untyped code: it classifies an
+// expression by the unit its name advertises:
+// "latency" for durations, "bytes" for sizes and counts of bytes, "" when
+// the name says nothing either way.
+func unitClass(e ast.Expr) string {
+	var name string
+	switch v := e.(type) {
+	case *ast.Ident:
+		name = v.Name
+	case *ast.SelectorExpr:
+		name = v.Sel.Name
+	case *ast.CallExpr:
+		if sel, ok := v.Fun.(*ast.SelectorExpr); ok {
+			name = sel.Sel.Name
+		}
+	case *ast.ParenExpr:
+		return unitClass(v.X)
+	default:
+		return ""
+	}
+	lower := strings.ToLower(name)
+	latency := strings.Contains(lower, "latency") ||
+		strings.Contains(lower, "elapsed") ||
+		strings.HasSuffix(lower, "time")
+	bytes := strings.Contains(lower, "bytes") || strings.HasSuffix(lower, "size")
+	if latency == bytes { // neither, or a name claiming both
+		return ""
+	}
+	if latency {
+		return "latency"
+	}
+	return "bytes"
 }

@@ -37,14 +37,13 @@ func (t Target) Validate() error {
 }
 
 // MB1Runner measures the first micro-benchmark for a candidate
-// configuration. The default, SerialMB1, builds a fresh platform and runs the
-// benchmark inline; callers with an execution engine inject its memoized
-// runner instead, so re-measuring the same candidate (the Verify step after a
-// fit, or fitting -sc and -zc against one config) costs one simulation, not
-// two.
+// configuration. SerialMB1 builds a fresh platform and runs the benchmark
+// inline; callers with an execution engine pass its memoized runner instead,
+// so re-measuring the same candidate (the Verify step after a fit, or
+// fitting -sc and -zc against one config) costs one simulation, not two.
 type MB1Runner func(ctx context.Context, cfg soc.Config, p microbench.Params) (microbench.MB1Result, error)
 
-// SerialMB1 is the default, uncached MB1Runner.
+// SerialMB1 is the uncached MB1Runner.
 func SerialMB1(ctx context.Context, cfg soc.Config, p microbench.Params) (microbench.MB1Result, error) {
 	return microbench.RunMB1(ctx, soc.New(cfg), p)
 }
@@ -122,13 +121,9 @@ func bisect(lo, hi float64, target units.BytesPerSecond, tol float64,
 }
 
 // TuneLLCBandwidth fits cfg.GPU.LLCBandwidth so the first micro-benchmark's
-// SC throughput matches the target. Returns the fitted config.
-func TuneLLCBandwidth(ctx context.Context, cfg soc.Config, p microbench.Params, target units.BytesPerSecond, tol float64) (soc.Config, error) {
-	return TuneLLCBandwidthWith(ctx, SerialMB1, cfg, p, target, tol)
-}
-
-// TuneLLCBandwidthWith is TuneLLCBandwidth with an injected MB1 runner.
-func TuneLLCBandwidthWith(ctx context.Context, run MB1Runner, cfg soc.Config, p microbench.Params, target units.BytesPerSecond, tol float64) (soc.Config, error) {
+// SC throughput, as measured by run, matches the target. Returns the fitted
+// config.
+func TuneLLCBandwidth(ctx context.Context, run MB1Runner, cfg soc.Config, p microbench.Params, target units.BytesPerSecond, tol float64) (soc.Config, error) {
 	if target <= 0 || tol <= 0 {
 		return soc.Config{}, fmt.Errorf("calibrate: invalid LLC target")
 	}
@@ -147,13 +142,8 @@ func TuneLLCBandwidthWith(ctx context.Context, run MB1Runner, cfg soc.Config, p 
 
 // TunePinnedBandwidth fits the zero-copy path bandwidth (the uncached pinned
 // port on non-coherent platforms, the I/O-coherent port otherwise) so MB1's
-// ZC throughput matches the target.
-func TunePinnedBandwidth(ctx context.Context, cfg soc.Config, p microbench.Params, target units.BytesPerSecond, tol float64) (soc.Config, error) {
-	return TunePinnedBandwidthWith(ctx, SerialMB1, cfg, p, target, tol)
-}
-
-// TunePinnedBandwidthWith is TunePinnedBandwidth with an injected MB1 runner.
-func TunePinnedBandwidthWith(ctx context.Context, run MB1Runner, cfg soc.Config, p microbench.Params, target units.BytesPerSecond, tol float64) (soc.Config, error) {
+// ZC throughput, as measured by run, matches the target.
+func TunePinnedBandwidth(ctx context.Context, run MB1Runner, cfg soc.Config, p microbench.Params, target units.BytesPerSecond, tol float64) (soc.Config, error) {
 	if target <= 0 || tol <= 0 {
 		return soc.Config{}, fmt.Errorf("calibrate: invalid pinned target")
 	}
@@ -177,13 +167,9 @@ func TunePinnedBandwidthWith(ctx context.Context, run MB1Runner, cfg soc.Config,
 	return out, nil
 }
 
-// Verify runs MB1 on the config and checks it against the target.
-func Verify(ctx context.Context, cfg soc.Config, p microbench.Params, target Target) error {
-	return VerifyWith(ctx, SerialMB1, cfg, p, target)
-}
-
-// VerifyWith is Verify with an injected MB1 runner.
-func VerifyWith(ctx context.Context, run MB1Runner, cfg soc.Config, p microbench.Params, target Target) error {
+// Verify runs MB1 on the config through run and checks it against the
+// target.
+func Verify(ctx context.Context, run MB1Runner, cfg soc.Config, p microbench.Params, target Target) error {
 	if err := target.Validate(); err != nil {
 		return err
 	}

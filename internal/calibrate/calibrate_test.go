@@ -45,7 +45,7 @@ func TestTuneLLCBandwidthRecoversPerturbation(t *testing.T) {
 
 	perturbed := cfg
 	perturbed.GPU.LLCBandwidth = cfg.GPU.LLCBandwidth * 2.5
-	fitted, err := TuneLLCBandwidth(context.Background(), perturbed, p, scRef, 0.04)
+	fitted, err := TuneLLCBandwidth(context.Background(), SerialMB1, perturbed, p, scRef, 0.04)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestTunePinnedBandwidthRecoversPerturbation(t *testing.T) {
 
 	perturbed := cfg
 	perturbed.PinnedBandwidth = cfg.PinnedBandwidth * 3
-	fitted, err := TunePinnedBandwidth(context.Background(), perturbed, p, zcRef, 0.04)
+	fitted, err := TunePinnedBandwidth(context.Background(), SerialMB1, perturbed, p, zcRef, 0.04)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,13 +86,13 @@ func TestTuneRejectsUnreachableTarget(t *testing.T) {
 	p := microbench.TestParams()
 	// At test scale the kernel cannot possibly reach 10 TB/s no matter how
 	// fast the LLC is (compute binds first).
-	if _, err := TuneLLCBandwidth(context.Background(), cfg, p, 10000*units.GBps, 0.05); err == nil {
+	if _, err := TuneLLCBandwidth(context.Background(), SerialMB1, cfg, p, 10000*units.GBps, 0.05); err == nil {
 		t.Error("unreachable target accepted")
 	}
-	if _, err := TuneLLCBandwidth(context.Background(), cfg, p, 0, 0.05); err == nil {
+	if _, err := TuneLLCBandwidth(context.Background(), SerialMB1, cfg, p, 0, 0.05); err == nil {
 		t.Error("zero target accepted")
 	}
-	if _, err := TunePinnedBandwidth(context.Background(), cfg, p, 0, 0.05); err == nil {
+	if _, err := TunePinnedBandwidth(context.Background(), SerialMB1, cfg, p, 0, 0.05); err == nil {
 		t.Error("zero pinned target accepted")
 	}
 }
@@ -100,13 +100,13 @@ func TestTuneRejectsUnreachableTarget(t *testing.T) {
 func TestVerify(t *testing.T) {
 	cfg, scRef, zcRef := reference(t)
 	p := microbench.TestParams()
-	if err := Verify(context.Background(), cfg, p, Target{SCThroughput: scRef, ZCThroughput: zcRef, Tolerance: 0.02}); err != nil {
+	if err := Verify(context.Background(), SerialMB1, cfg, p, Target{SCThroughput: scRef, ZCThroughput: zcRef, Tolerance: 0.02}); err != nil {
 		t.Errorf("stock config fails its own reference: %v", err)
 	}
-	if err := Verify(context.Background(), cfg, p, Target{SCThroughput: scRef * 2, Tolerance: 0.02}); err == nil {
+	if err := Verify(context.Background(), SerialMB1, cfg, p, Target{SCThroughput: scRef * 2, Tolerance: 0.02}); err == nil {
 		t.Error("doubled target verified")
 	}
-	if err := Verify(context.Background(), cfg, p, Target{}); err == nil {
+	if err := Verify(context.Background(), SerialMB1, cfg, p, Target{}); err == nil {
 		t.Error("invalid target verified")
 	}
 }
@@ -117,7 +117,7 @@ func TestVerifyCoherentPath(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-scale calibration check")
 	}
-	err := Verify(context.Background(), devices.Xavier(), microbench.DefaultParams(), Target{
+	err := Verify(context.Background(), SerialMB1, devices.Xavier(), microbench.DefaultParams(), Target{
 		SCThroughput: 214.64 * units.GBps,
 		ZCThroughput: 32.29 * units.GBps,
 		Tolerance:    0.07,
@@ -131,7 +131,7 @@ func TestVerifyTX2FullScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-scale calibration check")
 	}
-	err := Verify(context.Background(), devices.TX2(), microbench.DefaultParams(), Target{
+	err := Verify(context.Background(), SerialMB1, devices.TX2(), microbench.DefaultParams(), Target{
 		SCThroughput: 97.34 * units.GBps,
 		ZCThroughput: 1.28 * units.GBps,
 		Tolerance:    0.07,

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"igpucomm/internal/apps/catalog"
 	"igpucomm/internal/comm"
 	"igpucomm/internal/devices"
 	"igpucomm/internal/framework"
@@ -64,7 +65,7 @@ type Table2Data struct{ Rows map[string]AppProfile }
 
 // Table2 regenerates the SH-WFS profiling table on all three boards.
 func Table2(ctx context.Context, c *Context) (report.Table, Table2Data, error) {
-	w, err := shwfsWorkload()
+	w, err := catalog.ByName("shwfs", catalog.Full)
 	if err != nil {
 		return report.Table{}, Table2Data{}, err
 	}
@@ -111,7 +112,7 @@ const Table3IterationRate = 30.0
 
 // Table3 regenerates the SH-WFS per-model measurements.
 func Table3(ctx context.Context, c *Context) (report.Table, Table3Data, error) {
-	w, err := shwfsWorkload()
+	w, err := catalog.ByName("shwfs", catalog.Full)
 	if err != nil {
 		return report.Table{}, Table3Data{}, err
 	}
@@ -161,7 +162,7 @@ type Table4Data struct{ Rows map[string]AppProfile }
 // Table4 regenerates the ORB-SLAM profiling table (TX2 and Xavier, as in the
 // paper; the Nano cannot hold the app's real-time constraint).
 func Table4(ctx context.Context, c *Context) (report.Table, Table4Data, error) {
-	w, err := orbWorkload()
+	w, err := catalog.ByName("orbslam", catalog.Full)
 	if err != nil {
 		return report.Table{}, Table4Data{}, err
 	}
@@ -193,7 +194,7 @@ type Table5Data struct {
 
 // Table5 regenerates the ORB-SLAM measured comparison.
 func Table5(ctx context.Context, c *Context) (report.Table, Table5Data, error) {
-	w, err := orbWorkload()
+	w, err := catalog.ByName("orbslam", catalog.Full)
 	if err != nil {
 		return report.Table{}, Table5Data{}, err
 	}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"igpucomm/internal/apps/catalog"
 	"igpucomm/internal/comm"
 	"igpucomm/internal/devices"
 	"igpucomm/internal/report"
@@ -29,10 +30,6 @@ func TableEnergy(ctx context.Context, c *Context) (report.Table, EnergyData, err
 		Headers: []string{"Board", "App", "SC mJ", "UM mJ", "ZC mJ", "ZC saving J/s"},
 		Note:    "paper prose: SH-WFS saves 0.12 J/s (Xavier) / 0.09 J/s (TX2); ORB-SLAM saves 0.17 J/s (Xavier); savings only count where ZC performance holds",
 	}
-	apps := map[string]func() (comm.Workload, error){
-		"shwfs":   shwfsWorkload,
-		"orbslam": orbWorkload,
-	}
 	for _, board := range []string{devices.TX2Name, devices.XavierName} {
 		s, err := c.SoC(board)
 		if err != nil {
@@ -41,7 +38,7 @@ func TableEnergy(ctx context.Context, c *Context) (report.Table, EnergyData, err
 		data.JoulesPerFrame[board] = map[string]map[string]float64{}
 		data.BestModelSavingJPerS[board] = map[string]float64{}
 		for _, app := range []string{"shwfs", "orbslam"} {
-			w, err := apps[app]()
+			w, err := catalog.ByName(app, catalog.Full)
 			if err != nil {
 				return report.Table{}, EnergyData{}, err
 			}

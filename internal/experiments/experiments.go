@@ -11,8 +11,6 @@ import (
 	"fmt"
 	"sync"
 
-	"igpucomm/internal/apps/orbslam"
-	"igpucomm/internal/apps/shwfs"
 	"igpucomm/internal/comm"
 	"igpucomm/internal/devices"
 	"igpucomm/internal/engine"
@@ -81,15 +79,6 @@ func (c *Context) runModels(name string, w comm.Workload) (map[string]comm.Repor
 	return out, nil
 }
 
-// shwfsWorkload and orbWorkload are the evaluation-scale case studies.
-func shwfsWorkload() (comm.Workload, error) {
-	return shwfs.Workload(shwfs.DefaultWorkloadParams())
-}
-
-func orbWorkload() (comm.Workload, error) {
-	return orbslam.Workload(orbslam.DefaultWorkloadParams())
-}
-
 // speedupPct is the paper's (asymmetric) percentage convention: gains are
 // reported as base/new - 1 (+38% means 1.38x faster), losses as
 // -(new/base - 1) (-744% means 8.44x slower).
@@ -102,10 +91,6 @@ func speedupPct(base, new float64) float64 {
 	}
 	return -(new/base - 1) * 100
 }
-
-// SHWFSWorkloadForAblation exposes the evaluation-scale SH-WFS workload for
-// ablation benchmarks.
-func SHWFSWorkloadForAblation() (comm.Workload, error) { return shwfsWorkload() }
 
 // Prewarm characterizes the named platforms concurrently and leaves the
 // results in the engine's memo. Characterization dominates the experiments'

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"igpucomm/internal/apps/catalog"
 	"igpucomm/internal/comm"
 	"igpucomm/internal/devices"
 	"igpucomm/internal/report"
@@ -26,10 +27,6 @@ func TableAsync(ctx context.Context, c *Context) (report.Table, AsyncData, error
 		Headers: []string{"Board", "App", "SC µs", "SC-async µs", "Hybrid µs", "ZC µs", "async vs SC %", "hybrid vs SC %"},
 		Note:    "sc-async hides stripe copies behind kernels (CUDA streams) and is always safe; hybrid (copied inputs, pinned outputs) helps only when the CPU consumes results lightly — ORB's matcher hammers the pinned feature buffer, so on TX2 hybrid inherits ZC's collapse",
 	}
-	apps := map[string]func() (comm.Workload, error){
-		"shwfs":   shwfsWorkload,
-		"orbslam": orbWorkload,
-	}
 	for _, board := range []string{devices.TX2Name, devices.XavierName} {
 		s, err := c.SoC(board)
 		if err != nil {
@@ -37,7 +34,7 @@ func TableAsync(ctx context.Context, c *Context) (report.Table, AsyncData, error
 		}
 		data.Totals[board] = map[string]map[string]float64{}
 		for _, app := range []string{"shwfs", "orbslam"} {
-			w, err := apps[app]()
+			w, err := catalog.ByName(app, catalog.Full)
 			if err != nil {
 				return report.Table{}, AsyncData{}, err
 			}

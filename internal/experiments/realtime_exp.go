@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"igpucomm/internal/apps/catalog"
 	"igpucomm/internal/comm"
 	"igpucomm/internal/devices"
 	"igpucomm/internal/report"
@@ -33,12 +34,11 @@ func TableRealtime(ctx context.Context, c *Context) (report.Table, RealtimeData,
 	}
 	type appCase struct {
 		name string
-		mk   func() (comm.Workload, error)
 		rate float64
 	}
 	cases := []appCase{
-		{"shwfs", shwfsWorkload, SHWFSLoopHz},
-		{"orbslam", orbWorkload, ORBCameraHz},
+		{"shwfs", SHWFSLoopHz},
+		{"orbslam", ORBCameraHz},
 	}
 	for _, board := range []string{devices.NanoName, devices.TX2Name, devices.XavierName} {
 		s, err := c.SoC(board)
@@ -50,7 +50,7 @@ func TableRealtime(ctx context.Context, c *Context) (report.Table, RealtimeData,
 			if ac.name == "orbslam" && board == devices.NanoName {
 				continue // the paper omits the Nano for ORB as well
 			}
-			w, err := ac.mk()
+			w, err := catalog.ByName(ac.name, catalog.Full)
 			if err != nil {
 				return report.Table{}, RealtimeData{}, err
 			}
